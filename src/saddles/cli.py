@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .dominance import DominanceMode
@@ -155,10 +156,12 @@ def _cmd_verify(args) -> int:
         )
     else:
         checks = _default_checks(kind)
+    if args.jobs < 1:
+        raise GameInputError(f"--jobs must be at least 1, got {args.jobs}")
     config = TrialConfig(
         trials=args.trials, generator=generator, checks=checks, seed=args.seed
     )
-    report = run_trials(config, jobs=args.jobs)
+    report = run_trials(config, jobs=min(args.jobs, os.cpu_count() or 1))
     if args.json:
         print(json.dumps(report.to_json_dict()))
     else:
@@ -238,7 +241,9 @@ def build_parser() -> argparse.ArgumentParser:
         default="",
         help="comma-separated check names (default depends on generator)",
     )
-    verify.add_argument("--jobs", type=int, default=1, help="parallel workers")
+    verify.add_argument(
+        "--jobs", type=int, default=1, help="parallel workers (capped at the CPU count)"
+    )
     verify.add_argument("--json", action="store_true", help="machine output")
     verify.set_defaults(func=_cmd_verify)
     return parser

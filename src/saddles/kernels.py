@@ -2,8 +2,9 @@
 
 Dominance is a purely ordinal notion: deciding whether one action dominates
 another w.r.t. a restriction set only ever compares two entries in the same
-row or column. All those comparisons are made once, exactly, on the rational
-entries, and packed into bitmask tables:
+row or column. The distinct rational entries are sorted once and replaced by
+their exact integer ranks; all comparisons are then made on those ranks and
+packed into bitmask tables:
 
 * ``row_ge[r1][r2]``: bitmask over columns c with entry(r1,c) >= entry(r2,c)
 * ``row_gt[r1][r2]``: same with strict >
@@ -12,21 +13,18 @@ entries, and packed into bitmask tables:
 
 After that, scanning all (2^rows - 1) * (2^cols - 1) action products for the
 generalized-saddle-point property is integer bit twiddling with no arithmetic
-on payoffs at all, so the kernels are exact by construction.
+on payoffs at all, so the kernels are exact by construction. Both product
+grids are computed with whole-array numpy passes:
 
-Two interchangeable backends compute the product grids:
-
-* a numba ``@njit`` loop kernel (default when numba is importable), and
-* a vectorized pure-numpy fallback.
-
-Set ``SADDLES_BACKEND=numpy`` or ``SADDLES_BACKEND=numba`` to force one;
-anything else (or unset) auto-selects. ``benchmarks/bench_enumerate.py``
-compares the two.
+* the GSP grid marks, on each side and for every opponent mask, the action
+  sets that leave some outside action undominated (exactly the subsets of
+  that action's non-dominators) by marking each non-dominator set and
+  closing the marks downward over subsets, and
+* the minimality filter counts GSP subproducts with an in-place subset-sum
+  (zeta) transform over both mask axes.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -37,36 +35,15 @@ MODE_WEAK = 0
 MODE_STRICT = 1
 MODE_WEAK_STRICT = 2
 
-_ENV_VAR = "SADDLES_BACKEND"
 
-try:
-    from numba import njit
-
-    NUMBA_AVAILABLE = True
-except ImportError:  # pragma: no cover - exercised via SADDLES_BACKEND=numpy
-    NUMBA_AVAILABLE = False
-
-    def njit(*args, **kwargs):
-        def decorate(func):
-            return func
-
-        if len(args) == 1 and callable(args[0]):
-            return args[0]
-        return decorate
-
-
-def active_backend() -> str:
-    """Backend the dispatcher will use: "numba" or "numpy"."""
-    choice = os.environ.get(_ENV_VAR, "auto").strip().lower() or "auto"
-    if choice not in ("auto", "numba", "numpy"):
-        raise GameInputError(
-            f"{_ENV_VAR} must be 'numba' or 'numpy', got {choice!r}"
-        )
-    if choice == "numpy":
-        return "numpy"
-    if choice == "numba" and not NUMBA_AVAILABLE:
-        raise GameInputError("SADDLES_BACKEND=numba but numba is not importable")
-    return "numba" if NUMBA_AVAILABLE else "numpy"
+def _pack(bits) -> list[list[int]]:
+    # Nested lists of python-int bitmasks from a (k, k, width) bool array,
+    # bit i of each mask taken from index i of the last axis; python ints
+    # keep any number of actions exact.
+    packed = np.packbits(bits, axis=-1, bitorder="little")
+    width, raw = packed.shape[-1], packed.tobytes()
+    flat = [int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)]
+    return [flat[i : i + len(bits)] for i in range(0, len(flat), len(bits))]
 
 
 def dominance_mask_tables(game: ZeroSumGame):
@@ -75,33 +52,22 @@ def dominance_mask_tables(game: ZeroSumGame):
     Returns (row_ge, row_gt, col_le, col_lt) as nested lists; row masks have
     one bit per column, column masks one bit per row.
     """
-    n, m = game.rows, game.cols
-    e = game.entries
-    row_ge = [[0] * n for _ in range(n)]
-    row_gt = [[0] * n for _ in range(n)]
-    for r1 in range(n):
-        for r2 in range(n):
-            ge = gt = 0
-            for c in range(m):
-                if e[r1][c] >= e[r2][c]:
-                    ge |= 1 << c
-                    if e[r1][c] > e[r2][c]:
-                        gt |= 1 << c
-            row_ge[r1][r2] = ge
-            row_gt[r1][r2] = gt
-    col_le = [[0] * m for _ in range(m)]
-    col_lt = [[0] * m for _ in range(m)]
-    for c1 in range(m):
-        for c2 in range(m):
-            le = lt = 0
-            for r in range(n):
-                if e[r][c1] <= e[r][c2]:
-                    le |= 1 << r
-                    if e[r][c1] < e[r][c2]:
-                        lt |= 1 << r
-            col_le[c1][c2] = le
-            col_lt[c1][c2] = lt
-    return row_ge, row_gt, col_le, col_lt
+    # Entries are replaced by their exact ranks among the distinct values.
+    # Fractions are normalized, so (numerator, denominator) identifies a
+    # value and hashes far faster than the Fraction itself.
+    distinct = {(v.numerator, v.denominator): v for row in game.entries for v in row}
+    rank = {(v.numerator, v.denominator): i for i, v in enumerate(sorted(distinct.values()))}
+    ranks = np.array(
+        [[rank[v.numerator, v.denominator] for v in row] for row in game.entries],
+        dtype=np.int64,
+    )
+    by_col = ranks.T
+    return (
+        _pack(ranks[:, None] >= ranks[None]),
+        _pack(ranks[:, None] > ranks[None]),
+        _pack(by_col[:, None] <= by_col[None]),
+        _pack(by_col[:, None] < by_col[None]),
+    )
 
 
 def mask_dominates(ge_mask: int, gt_mask: int, restriction: int, mode: int) -> bool:
@@ -115,94 +81,7 @@ def mask_dominates(ge_mask: int, gt_mask: int, restriction: int, mode: int) -> b
     return True
 
 
-# ---------------------------------------------------------------------------
-# numba backend
-# ---------------------------------------------------------------------------
-
-
-@njit(cache=True)
-def _dominator_masks_loops(ge, gt, k, opp_size, mode):
-    # dom[j, mask]: bitmask of actions dominating action j w.r.t. the
-    # opponent mask. Self-dominance bits are never queried (GSP checks ask
-    # about actions outside the product) so they can be set freely.
-    size = 1 << opp_size
-    dom = np.zeros((k, size), dtype=np.int64)
-    for j in range(k):
-        for i in range(k):
-            bit = 1 << i
-            ge_ij = ge[i, j]
-            gt_ij = gt[i, j]
-            for mask in range(1, size):
-                if mode == 1:
-                    ok = (mask & ~gt_ij) == 0
-                elif (mask & ~ge_ij) == 0:
-                    ok = mode == 0 or (mask & gt_ij) != 0
-                else:
-                    ok = False
-                if ok:
-                    dom[j, mask] |= bit
-    return dom
-
-
-@njit(cache=True)
-def _gsp_grid_loops(row_ge, row_gt, col_le, col_lt, n, m, mode):
-    nr = 1 << n
-    nc = 1 << m
-    dom_rows = _dominator_masks_loops(row_ge, row_gt, n, m, mode)
-    dom_cols = _dominator_masks_loops(col_le, col_lt, m, n, mode)
-    out = np.zeros((nr, nc), dtype=np.bool_)
-    for R in range(1, nr):
-        for C in range(1, nc):
-            ok = True
-            for r2 in range(n):
-                if (R >> r2) & 1:
-                    continue
-                if (R & dom_rows[r2, C]) == 0:
-                    ok = False
-                    break
-            if ok:
-                for c2 in range(m):
-                    if (C >> c2) & 1:
-                        continue
-                    if (C & dom_cols[c2, R]) == 0:
-                        ok = False
-                        break
-            out[R, C] = ok
-    return out
-
-
-@njit(cache=True)
-def _minimal_grid_loops(gsp, n, m):
-    # Subproduct counts via a subset-sum (zeta) transform over both mask
-    # axes; a GSP is minimal iff its only GSP subproduct is itself.
-    nr, nc = gsp.shape
-    cnt = gsp.astype(np.int32)
-    for b in range(n):
-        bit = 1 << b
-        for R in range(nr):
-            if R & bit:
-                src = R ^ bit
-                for C in range(nc):
-                    cnt[R, C] += cnt[src, C]
-    for b in range(m):
-        bit = 1 << b
-        for R in range(nr):
-            for C in range(nc):
-                if C & bit:
-                    cnt[R, C] += cnt[R, C ^ bit]
-    out = np.zeros((nr, nc), dtype=np.bool_)
-    for R in range(nr):
-        for C in range(nc):
-            out[R, C] = gsp[R, C] and cnt[R, C] == 1
-    return out
-
-
-# ---------------------------------------------------------------------------
-# numpy fallback backend
-# ---------------------------------------------------------------------------
-
-
-def _dominator_masks_numpy(ge, gt, k, opp_size, mode):
+def _dominator_masks(ge, gt, k, opp_size, mode):
     # dom[j, mask]: bitmask of actions dominating action j w.r.t. the mask.
     masks = np.arange(1 << opp_size, dtype=np.int64)
     ge = ge[:, :, None]
@@ -214,51 +93,54 @@ def _dominator_masks_numpy(ge, gt, k, opp_size, mode):
         if mode == MODE_WEAK_STRICT:
             ok &= (masks & gt) != 0
     bits = (np.int64(1) << np.arange(k, dtype=np.int64))[:, None, None]
-    dom = (ok * bits).sum(axis=0)
-    dom[:, 0] = 0
-    return dom
+    return (ok * bits).sum(axis=0)
 
 
-def _side_ok_numpy(dom, k, opp_size):
-    # result[mask, opp_mask]: every action outside `mask` has a dominator
-    # inside it, w.r.t. the opponent mask.
+def _undominated_sets(dom, k):
+    # bad[S, opp]: some action outside S has no dominator in S w.r.t. opp.
+    # Action j is such a witness for S exactly when S is a subset of
+    # U_j = (actions not dominating j) minus j, so marking every U_j and
+    # closing downward over subsets (one in-place OR per bit) marks them all.
     size = 1 << k
-    out = np.empty((size, 1 << opp_size), dtype=np.bool_)
-    out[0, :] = False
-    for mask in range(1, size):
-        outside = [j for j in range(k) if not mask >> j & 1]
-        if outside:
-            out[mask] = ((mask & dom[outside, :]) != 0).all(axis=0)
-        else:
-            out[mask, :] = True
-    return out
+    self_bits = (np.int64(1) << np.arange(k, dtype=np.int64))[:, None]
+    non_dominators = (size - 1) & ~dom & ~self_bits
+    bad = np.zeros((size, dom.shape[1]), dtype=np.bool_)
+    bad[non_dominators, np.arange(dom.shape[1])] = True
+    for b in range(k):
+        view = bad.reshape(size >> (b + 1), 2, 1 << b, -1)
+        view[:, 0] |= view[:, 1]
+    return bad
 
 
-def _gsp_grid_numpy(row_ge, row_gt, col_le, col_lt, n, m, mode):
-    dom_rows = _dominator_masks_numpy(row_ge, row_gt, n, m, mode)
-    dom_cols = _dominator_masks_numpy(col_le, col_lt, m, n, mode)
-    gsp = _side_ok_numpy(dom_rows, n, m) & _side_ok_numpy(dom_cols, m, n).T
+def _gsp_grid(row_ge, row_gt, col_le, col_lt, n, m, mode):
+    bad_rows = _undominated_sets(_dominator_masks(row_ge, row_gt, n, m, mode), n)
+    bad_cols = _undominated_sets(_dominator_masks(col_le, col_lt, m, n, mode), m)
+    gsp = ~(bad_rows | bad_cols.T)
+    gsp[0, :] = False
     gsp[:, 0] = False
     return gsp
 
 
-def _minimal_grid_numpy(gsp, n, m):
+def _minimal_grid(gsp, n, m):
+    # A GSP is minimal iff its only GSP subproduct is itself. cnt[R, C] counts
+    # GSP subproducts via a subset-sum transform over the n + m bits of the
+    # flat index R * 2^m + C: each pass adds, in place, every cell without
+    # bit b into its partner with it.
     cnt = gsp.astype(np.int32)
-    has_row = (np.arange(1 << n)[:, None] & (1 << np.arange(n))[None, :]) != 0
-    for b in range(n):
-        cnt[has_row[:, b], :] += cnt[~has_row[:, b], :]
-    has_col = (np.arange(1 << m)[:, None] & (1 << np.arange(m))[None, :]) != 0
-    for b in range(m):
-        cnt[:, has_col[:, b]] += cnt[:, ~has_col[:, b]]
+    flat = cnt.reshape(-1)
+    for b in range(n + m):
+        view = flat.reshape(-1, 2, 1 << b)
+        if b < 3:
+            # Runs of 1-4 cells: one strided add per lane beats numpy's
+            # per-run loop overhead.
+            for lane in range(1 << b):
+                view[:, 1, lane] += view[:, 0, lane]
+        else:
+            view[:, 1] += view[:, 0]
     return gsp & (cnt == 1)
 
 
-# ---------------------------------------------------------------------------
-# dispatch
-# ---------------------------------------------------------------------------
-
-
-def saddle_grids(game: ZeroSumGame, mode_code: int, backend: str | None = None):
+def saddle_grids(game: ZeroSumGame, mode_code: int):
     """(gsp, minimal) boolean grids indexed by [row mask, column mask].
 
     ``gsp[R][C]`` marks the generalized saddle points, ``minimal[R][C]`` the
@@ -268,19 +150,6 @@ def saddle_grids(game: ZeroSumGame, mode_code: int, backend: str | None = None):
     n, m = game.rows, game.cols
     if n > 62 or m > 62:
         raise GameInputError("bitmask kernels support at most 62 actions per side")
-    row_ge, row_gt, col_le, col_lt = dominance_mask_tables(game)
-    tables = (
-        np.array(row_ge, dtype=np.int64),
-        np.array(row_gt, dtype=np.int64),
-        np.array(col_le, dtype=np.int64),
-        np.array(col_lt, dtype=np.int64),
-    )
-    if backend is None:
-        backend = active_backend()
-    if backend == "numba":
-        gsp = _gsp_grid_loops(*tables, n, m, mode_code)
-        minimal = _minimal_grid_loops(gsp, n, m)
-    else:
-        gsp = _gsp_grid_numpy(*tables, n, m, mode_code)
-        minimal = _minimal_grid_numpy(gsp, n, m)
-    return gsp, minimal
+    tables = (np.array(table, dtype=np.int64) for table in dominance_mask_tables(game))
+    gsp = _gsp_grid(*tables, n, m, mode_code)
+    return gsp, _minimal_grid(gsp, n, m)

@@ -197,7 +197,10 @@ def find_saddle(game: ZeroSumGame, mode: DominanceMode) -> ActionProduct:
                 current = candidate
                 shrunk = True
                 break
-    assert is_gsp(game, current, mode)
+    if not is_gsp(game, current, mode):
+        raise PropertyViolationError(
+            f"find_saddle ended on a non-GSP product in game {game.digest()[:12]}"
+        )
     return current
 
 

@@ -1,4 +1,6 @@
 import json
+import multiprocessing
+import os
 
 import pytest
 
@@ -133,6 +135,38 @@ def test_verify_json_deterministic(capsys):
     doc1.pop("duration_seconds")
     doc2.pop("duration_seconds")
     assert doc1 == doc2
+
+
+def test_verify_rejects_jobs_below_one(capsys):
+    code = main(
+        ["verify", "--trials", "2", "--rows", "3", "--cols", "3",
+         "--gen", "uniform", "--seed", "1", "--jobs", "0"]
+    )
+    assert code == 2
+    assert "--jobs must be at least 1" in capsys.readouterr().err
+
+
+def test_verify_jobs_capped_at_cpu_count(capsys, monkeypatch):
+    requested = []
+    real_pool = multiprocessing.Pool
+
+    def recording_pool(processes=None, *args, **kwargs):
+        requested.append(processes)
+        return real_pool(processes, *args, **kwargs)
+
+    monkeypatch.setattr(multiprocessing, "Pool", recording_pool)
+    argv = [
+        "verify", "--trials", "6", "--rows", "3", "--cols", "3",
+        "--gen", "uniform", "--bound", "2", "--seed", "9", "--json",
+    ]
+    code1, out1 = run(capsys, *argv, "--jobs", "1")
+    code64, out64 = run(capsys, *argv, "--jobs", "64")
+    assert code1 == code64 == 0
+    assert all(n <= (os.cpu_count() or 1) for n in requested)
+    doc1, doc64 = json.loads(out1), json.loads(out64)
+    doc1.pop("duration_seconds")
+    doc64.pop("duration_seconds")
+    assert doc1 == doc64
 
 
 def test_verify_text_output(capsys):

@@ -8,6 +8,7 @@ from saddles import (
     DominanceMode,
     GeneratorConfig,
     GeneratorKind,
+    PropertyViolationError,
     all_gsps,
     cross_products,
     enumerate_saddles,
@@ -104,6 +105,13 @@ def test_find_saddle_beyond_guard():
     g = generate(GeneratorConfig(GeneratorKind.UNIFORM_INT, 4, 14, 3, 5))
     saddle = find_saddle(g, WEAK)
     assert is_gsp(g, saddle, WEAK)
+
+
+def test_find_saddle_final_check_raises(a1, monkeypatch):
+    # The closing GSP check must survive `python -O`, so it cannot be an assert.
+    monkeypatch.setattr("saddles.solver.is_gsp", lambda game, product, mode: False)
+    with pytest.raises(PropertyViolationError, match="non-GSP"):
+        find_saddle(a1, WEAK)
 
 
 # --- iterated elimination -------------------------------------------------
