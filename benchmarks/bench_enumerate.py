@@ -30,15 +30,16 @@ from pathlib import Path
 
 import numpy as np
 
-from saddles import GeneratorConfig, GeneratorKind, generate, kernels
-from saddles.kernels import MODE_WEAK, dominance_mask_tables, saddle_grids
+from saddles import GeneratorConfig, GeneratorKind, generate
+from saddles.kernels import (
+    MODE_WEAK,
+    _gsp_grid,
+    _minimal_grid,
+    dominance_mask_tables,
+    saddle_grids,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
-
-# The grid layers are private helpers of `kernels`; older versions of the
-# module named them with a `_numpy` suffix, which still lets them be measured.
-_gsp_grid = getattr(kernels, "_gsp_grid", None) or kernels._gsp_grid_numpy
-_minimal_grid = getattr(kernels, "_minimal_grid", None) or kernels._minimal_grid_numpy
 
 
 def median_ms(func, repeats):

@@ -17,7 +17,7 @@ from .errors import CapacityError, GameInputError, PropertyViolationError
 from .game import ZeroSumGame, format_rational
 from .gamefile import parse_game
 from .generators import GeneratorConfig, GeneratorKind
-from .report import ResultDocument, emit_result, product_label
+from .report import ResultDocument, emit_result
 from .solver import (
     DEFAULT_SIZE_GUARD,
     enumerate_saddles,

@@ -10,8 +10,9 @@ actions. Three flavours are supported:
   somewhere. Exposed for completeness; the interchangeability/equivalence
   guarantees checked by the verify harness do not extend to it.
 
-The column player maximizes the negated matrix, so column dominance flips
-every inequality.
+The column player maximizes the negated matrix, so column dominance is row
+dominance with the two compared payoff sequences swapped; every row/column
+pair below is a thin wrapper over one implementation that takes the side.
 """
 
 from __future__ import annotations
@@ -69,29 +70,45 @@ def _index_set(indices: Iterable[int], limit: int, axis: str) -> tuple[int, ...]
     return out
 
 
-def _compare(a, b, mode: DominanceMode, seen_strict: bool) -> tuple[bool, bool]:
-    # Returns (still dominating, strict inequality seen so far).
+def _beats(better, worse, mode: DominanceMode) -> bool:
+    """Does payoff sequence `better` dominate `worse` entry by entry?"""
     if mode is DominanceMode.STRICT:
-        return a > b, True
-    return a >= b, seen_strict or a > b
+        return all(a > b for a, b in zip(better, worse))
+    if not all(a >= b for a, b in zip(better, worse)):
+        return False
+    return mode is DominanceMode.WEAK or any(a > b for a, b in zip(better, worse))
+
+
+def _lines(game: ZeroSumGame, columns: bool, a1: int, a2: int, opponents):
+    # Payoffs of a1 and a2 against `opponents`, ordered so that
+    # `_beats(*lines)` asks whether a1 dominates a2. The column player
+    # prefers small entries, so its pair is swapped instead of negated.
+    if columns:
+        return [game.entry(r, a2) for r in opponents], [game.entry(r, a1) for r in opponents]
+    return [game.entry(a1, c) for c in opponents], [game.entry(a2, c) for c in opponents]
+
+
+def _axes(game: ZeroSumGame, columns: bool) -> tuple[int, str, int, str]:
+    # (own action count, own axis name, opponent count, opponent axis name)
+    if columns:
+        return game.cols, "column", game.rows, "row"
+    return game.rows, "row", game.cols, "column"
+
+
+def _action_dominates(game, columns, a1, a2, restriction, mode) -> bool:
+    own, own_axis, opp, opp_axis = _axes(game, columns)
+    opponents = _index_set(restriction, opp, opp_axis)
+    if not opponents:
+        raise GameInputError("dominance needs a nonempty restriction set")
+    _index_set((a1, a2), own, own_axis)
+    return _beats(*_lines(game, columns, a1, a2, opponents), mode)
 
 
 def row_dominates(
     game: ZeroSumGame, r1: int, r2: int, col_set: Iterable[int], mode: DominanceMode
 ) -> bool:
     """Does row `r1` dominate row `r2` with respect to `col_set`?"""
-    cols = _index_set(col_set, game.cols, "column")
-    if not cols:
-        raise GameInputError("dominance needs a nonempty restriction set")
-    _index_set((r1, r2), game.rows, "row")
-    strict = False
-    for c in cols:
-        ok, strict = _compare(game.entry(r1, c), game.entry(r2, c), mode, strict)
-        if not ok:
-            return False
-    if mode is DominanceMode.WEAK_REQUIRE_STRICT:
-        return strict
-    return True
+    return _action_dominates(game, False, r1, r2, col_set, mode)
 
 
 def col_dominates(
@@ -102,18 +119,20 @@ def col_dominates(
     The column player prefers small matrix entries, so `c1` dominates when
     its entries are <= (resp. <) those of `c2` on the restriction rows.
     """
-    rows = _index_set(row_set, game.rows, "row")
-    if not rows:
-        raise GameInputError("dominance needs a nonempty restriction set")
-    _index_set((c1, c2), game.cols, "column")
-    strict = False
-    for r in rows:
-        ok, strict = _compare(game.entry(r, c2), game.entry(r, c1), mode, strict)
-        if not ok:
-            return False
-    if mode is DominanceMode.WEAK_REQUIRE_STRICT:
-        return strict
-    return True
+    return _action_dominates(game, True, c1, c2, row_set, mode)
+
+
+def _set_dominates(game, columns, dominating, dominated, restriction, mode):
+    own, own_axis, _, _ = _axes(game, columns)
+    doms = _index_set(dominating, own, own_axis)
+    restriction = tuple(restriction)  # every pair test reads it; an iterator would run dry
+    mapping: dict[int, int] = {}
+    for a2 in _index_set(dominated, own, own_axis):
+        found = (a1 for a1 in doms if _action_dominates(game, columns, a1, a2, restriction, mode))
+        if (a1 := next(found, None)) is None:
+            return None
+        mapping[a2] = a1
+    return DominanceWitness(mapping)
 
 
 def set_dominates_rows(
@@ -129,17 +148,7 @@ def set_dominates_rows(
     broken toward the lowest-index dominating action, so witnesses are
     reproducible.
     """
-    doms = _index_set(dominating, game.rows, "row")
-    targets = _index_set(dominated, game.rows, "row")
-    mapping: dict[int, int] = {}
-    for r2 in targets:
-        for r1 in doms:
-            if row_dominates(game, r1, r2, col_set, mode):
-                mapping[r2] = r1
-                break
-        else:
-            return None
-    return DominanceWitness(mapping)
+    return _set_dominates(game, False, dominating, dominated, col_set, mode)
 
 
 def set_dominates_cols(
@@ -150,59 +159,34 @@ def set_dominates_cols(
     mode: DominanceMode,
 ) -> DominanceWitness | None:
     """Column-player mirror of `set_dominates_rows`."""
-    doms = _index_set(dominating, game.cols, "column")
-    targets = _index_set(dominated, game.cols, "column")
-    mapping: dict[int, int] = {}
-    for c2 in targets:
-        for c1 in doms:
-            if col_dominates(game, c1, c2, row_set, mode):
-                mapping[c2] = c1
-                break
-        else:
-            return None
-    return DominanceWitness(mapping)
+    return _set_dominates(game, True, dominating, dominated, row_set, mode)
 
 
-def _rows_identical(game: ZeroSumGame, r1: int, r2: int, cols: tuple[int, ...]) -> bool:
-    return all(game.entry(r1, c) == game.entry(r2, c) for c in cols)
+def _dominated_by_rival(game, columns, action, rivals, opponents, mode) -> bool:
+    # Is `action` dominated w.r.t. `opponents` by a rival whose payoffs there
+    # differ from its own? Identical actions dominate each other under WEAK,
+    # so skipping them keeps duplicates alive; other modes never need it.
+    return any(
+        better != worse and _beats(better, worse, mode)
+        for better, worse in (
+            _lines(game, columns, rival, action, opponents) for rival in rivals
+        )
+    )
 
 
-def _cols_identical(game: ZeroSumGame, c1: int, c2: int, rows: tuple[int, ...]) -> bool:
-    return all(game.entry(r, c1) == game.entry(r, c2) for r in rows)
+def _undominated(game: ZeroSumGame, columns: bool, mode: DominanceMode) -> tuple[int, ...]:
+    own, _, opp, _ = _axes(game, columns)
+    return tuple(
+        a for a in range(own)
+        if not _dominated_by_rival(game, columns, a, range(own), range(opp), mode)
+    )
 
 
 def undominated_rows(game: ZeroSumGame, mode: DominanceMode) -> tuple[int, ...]:
-    """Rows not dominated by any non-identical row w.r.t. all columns.
-
-    The non-identical rule only matters under WEAK (identical rows dominate
-    each other weakly but should all survive elimination); it is vacuous for
-    the other modes.
-    """
-    cols = tuple(range(game.cols))
-    out = []
-    for r2 in range(game.rows):
-        dominated = any(
-            r1 != r2
-            and not _rows_identical(game, r1, r2, cols)
-            and row_dominates(game, r1, r2, cols, mode)
-            for r1 in range(game.rows)
-        )
-        if not dominated:
-            out.append(r2)
-    return tuple(out)
+    """Rows not dominated by any non-identical row w.r.t. all columns."""
+    return _undominated(game, False, mode)
 
 
 def undominated_cols(game: ZeroSumGame, mode: DominanceMode) -> tuple[int, ...]:
     """Column mirror of `undominated_rows`."""
-    rows = tuple(range(game.rows))
-    out = []
-    for c2 in range(game.cols):
-        dominated = any(
-            c1 != c2
-            and not _cols_identical(game, c1, c2, rows)
-            and col_dominates(game, c1, c2, rows, mode)
-            for c1 in range(game.cols)
-        )
-        if not dominated:
-            out.append(c2)
-    return tuple(out)
+    return _undominated(game, True, mode)

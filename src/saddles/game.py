@@ -8,6 +8,7 @@ goes through floating point, so equality tests on payoffs are exact.
 from __future__ import annotations
 
 import hashlib
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -20,7 +21,9 @@ Rational = Fraction
 def parse_rational(token: str) -> Fraction:
     """Parse an integer, exact decimal, or "p/q" token into a Fraction.
 
-    The denominator must be positive; "1/-2" and "1/0" are rejected.
+    The denominator must be positive; "1/-2" and "1/0" are rejected, and so
+    is an exponent that would expand the token past Python's 4300-digit
+    limit on integer strings.
     """
     token = token.strip()
     if "/" in token:
@@ -35,6 +38,17 @@ def parse_rational(token: str) -> Fraction:
             return Fraction(int(num), d)
         except ValueError:
             raise GameInputError(f"malformed rational token {token!r}") from None
+    # Fraction expands "1e9" to 10**9; bound what a token can expand to by
+    # Python's own digit limit on integer strings, which already bounds
+    # "p/q" tokens, so the value is cheap to build and can be printed.
+    limit = sys.int_info.default_max_str_digits
+    _, marker, exponent = token.lower().partition("e")
+    try:
+        expands = len(token) + abs(int(exponent)) if marker else 0
+    except ValueError:
+        expands = 0  # a malformed exponent, which Fraction rejects below
+    if expands > limit:
+        raise GameInputError(f"{token!r} expands to more than {limit} digits")
     try:
         return Fraction(token)
     except (ValueError, ZeroDivisionError):

@@ -70,42 +70,29 @@ def dominance_mask_tables(game: ZeroSumGame):
     )
 
 
-def mask_dominates(ge_mask: int, gt_mask: int, restriction: int, mode: int) -> bool:
-    """Single dominance test against precomputed masks (python ints)."""
-    if mode == MODE_STRICT:
-        return (restriction & ~gt_mask) == 0
-    if restriction & ~ge_mask:
-        return False
-    if mode == MODE_WEAK_STRICT:
-        return (restriction & gt_mask) != 0
-    return True
+def mask_dominates(ge_mask, gt_mask, restriction, mode: int):
+    """Single dominance test against precomputed ge/gt masks; branch-free,
+    so it works on python ints and elementwise on numpy arrays alike."""
+    weak = (restriction & ~ge_mask) == 0
+    strict = (restriction & ~gt_mask) == 0
+    somewhere = (restriction & gt_mask) != 0
+    return weak & ((mode != MODE_STRICT) | strict) & ((mode != MODE_WEAK_STRICT) | somewhere)
 
 
-def _dominator_masks(ge, gt, k, opp_size, mode):
-    # dom[j, mask]: bitmask of actions dominating action j w.r.t. the mask.
-    masks = np.arange(1 << opp_size, dtype=np.int64)
-    ge = ge[:, :, None]
-    gt = gt[:, :, None]
-    if mode == MODE_STRICT:
-        ok = (masks & ~gt) == 0
-    else:
-        ok = (masks & ~ge) == 0
-        if mode == MODE_WEAK_STRICT:
-            ok &= (masks & gt) != 0
-    bits = (np.int64(1) << np.arange(k, dtype=np.int64))[:, None, None]
-    return (ok * bits).sum(axis=0)
-
-
-def _undominated_sets(dom, k):
+def _undominated_sets(ge, gt, k, opp_size, mode):
     # bad[S, opp]: some action outside S has no dominator in S w.r.t. opp.
+    # dom[j, opp] is the bitmask of actions dominating action j w.r.t. opp.
     # Action j is such a witness for S exactly when S is a subset of
     # U_j = (actions not dominating j) minus j, so marking every U_j and
     # closing downward over subsets (one in-place OR per bit) marks them all.
     size = 1 << k
-    self_bits = (np.int64(1) << np.arange(k, dtype=np.int64))[:, None]
-    non_dominators = (size - 1) & ~dom & ~self_bits
-    bad = np.zeros((size, dom.shape[1]), dtype=np.bool_)
-    bad[non_dominators, np.arange(dom.shape[1])] = True
+    opps = np.arange(1 << opp_size, dtype=np.int64)
+    bits = (np.int64(1) << np.arange(k, dtype=np.int64))[:, None]
+    ok = mask_dominates(ge[:, :, None], gt[:, :, None], opps, mode)
+    dom = (ok * bits[:, :, None]).sum(axis=0)
+    non_dominators = (size - 1) & ~dom & ~bits
+    bad = np.zeros((size, len(opps)), dtype=np.bool_)
+    bad[non_dominators, opps] = True
     for b in range(k):
         view = bad.reshape(size >> (b + 1), 2, 1 << b, -1)
         view[:, 0] |= view[:, 1]
@@ -113,8 +100,8 @@ def _undominated_sets(dom, k):
 
 
 def _gsp_grid(row_ge, row_gt, col_le, col_lt, n, m, mode):
-    bad_rows = _undominated_sets(_dominator_masks(row_ge, row_gt, n, m, mode), n)
-    bad_cols = _undominated_sets(_dominator_masks(col_le, col_lt, m, n, mode), m)
+    bad_rows = _undominated_sets(row_ge, row_gt, n, m, mode)
+    bad_cols = _undominated_sets(col_le, col_lt, m, n, mode)
     gsp = ~(bad_rows | bad_cols.T)
     gsp[0, :] = False
     gsp[:, 0] = False

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .errors import GameInputError
+
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
@@ -26,7 +28,8 @@ def solve_standard_max(c, M, b):
     """
     n = len(M)
     m = len(c)
-    assert len(b) == n and all(bi >= 0 for bi in b)
+    if len(b) != n or any(bi < 0 for bi in b):
+        raise GameInputError("simplex needs one right-hand side b_i >= 0 per constraint")
 
     # Tableau rows: [structural | slack | rhs]; cost row holds reduced costs.
     width = m + n

@@ -17,12 +17,9 @@ import numpy as np
 from . import kernels
 from .dominance import (
     DominanceMode,
-    col_dominates,
-    row_dominates,
     set_dominates_cols,
     set_dominates_rows,
-    _cols_identical,
-    _rows_identical,
+    _dominated_by_rival,
 )
 from .errors import CapacityError, GameInputError, PropertyViolationError
 from .game import ActionProduct, ZeroSumGame
@@ -62,14 +59,12 @@ class PermutationWitness:
 def is_gsp(game: ZeroSumGame, product: ActionProduct, mode: DominanceMode) -> bool:
     """Definitional GSP test via the set-dominance predicates."""
     game.check_product(product)
-    inside_rows, inside_cols = set(product.row_set), set(product.col_set)
-    outside_rows = [r for r in range(game.rows) if r not in inside_rows]
-    outside_cols = [c for c in range(game.cols) if c not in inside_cols]
-    if set_dominates_rows(game, product.row_set, outside_rows, product.col_set, mode) is None:
-        return False
+    rows, cols = product.row_set, product.col_set
+    outside_rows = set(range(game.rows)).difference(rows)
+    outside_cols = set(range(game.cols)).difference(cols)
     return (
-        set_dominates_cols(game, product.col_set, outside_cols, product.row_set, mode)
-        is not None
+        set_dominates_rows(game, rows, outside_rows, cols, mode) is not None
+        and set_dominates_cols(game, cols, outside_cols, rows, mode) is not None
     )
 
 
@@ -139,69 +134,58 @@ def strict_saddle(
     return found.saddles[0]
 
 
-def _subproducts_by_size(product: ActionProduct):
-    """Proper subproducts, smallest total size first, lexicographic within size."""
-    nr, nc = len(product.row_set), len(product.col_set)
-    for total in range(2, nr + nc):
-        for k in range(max(1, total - nc), min(nr, total - 1) + 1):
-            for rows in itertools.combinations(product.row_set, k):
-                for cols in itertools.combinations(product.col_set, total - k):
-                    yield ActionProduct(rows, cols)
+def _products_by_size(n: int, m: int):
+    """Every product of an n x m game as (rows, cols) index tuples, ordered by
+    total size, then row count, then lexicographically."""
+    for total in range(2, n + m + 1):
+        for k in range(max(1, total - m), min(n, total - 1) + 1):
+            for rows in itertools.combinations(range(n), k):
+                for cols in itertools.combinations(range(m), total - k):
+                    yield rows, cols
 
 
-def _mask_is_gsp(tables, n: int, m: int, product: ActionProduct, mode_code: int) -> bool:
-    row_ge, row_gt, col_le, col_lt = tables
-    row_mask = 0
-    for r in product.row_set:
-        row_mask |= 1 << r
-    col_mask = 0
-    for c in product.col_set:
-        col_mask |= 1 << c
-    for r2 in range(n):
-        if row_mask >> r2 & 1:
+def _side_dominated(ge, gt, inside, inside_mask, count, opp_mask, mode_code) -> bool:
+    # Does every action outside `inside` have a dominator inside w.r.t. opp_mask?
+    for a2 in range(count):
+        if inside_mask >> a2 & 1:
             continue
         if not any(
-            kernels.mask_dominates(row_ge[r1][r2], row_gt[r1][r2], col_mask, mode_code)
-            for r1 in product.row_set
-        ):
-            return False
-    for c2 in range(m):
-        if col_mask >> c2 & 1:
-            continue
-        if not any(
-            kernels.mask_dominates(col_le[c1][c2], col_lt[c1][c2], row_mask, mode_code)
-            for c1 in product.col_set
+            kernels.mask_dominates(ge[a1][a2], gt[a1][a2], opp_mask, mode_code)
+            for a1 in inside
         ):
             return False
     return True
 
 
-def find_saddle(game: ZeroSumGame, mode: DominanceMode) -> ActionProduct:
-    """One minimal GSP, found by shrinking from the full product.
+def _mask_is_gsp(tables, n: int, m: int, rows, cols, mode_code: int) -> bool:
+    row_ge, row_gt, col_le, col_lt = tables
+    row_mask = sum(1 << r for r in rows)
+    col_mask = sum(1 << c for c in cols)
+    return _side_dominated(row_ge, row_gt, rows, row_mask, n, col_mask, mode_code) and (
+        _side_dominated(col_le, col_lt, cols, col_mask, m, row_mask, mode_code)
+    )
 
-    Each round scans proper subproducts of the current GSP in increasing
-    total size and recurses into the first that is itself a GSP; the round
-    that finds none doubles as the explicit minimality check. Subproducts are
-    tested against the whole game, which for weak and strict dominance
-    coincides with testing inside the current subgame. No size guard: the
-    scan is output-sensitive but exponential in the worst case.
+
+def find_saddle(game: ZeroSumGame, mode: DominanceMode) -> ActionProduct:
+    """The smallest saddle: fewest actions, then fewest rows, then lexicographic.
+
+    Products are scanned in that order and the first GSP is returned. Every
+    proper subproduct of it comes earlier in the order and is not a GSP, so
+    it is inclusion-minimal. The full product is always a GSP, so the scan
+    ends. No size guard: the scan is output-sensitive but exponential in the
+    worst case.
     """
     tables = kernels.dominance_mask_tables(game)
     n, m = game.rows, game.cols
-    current = game.full_product()
-    shrunk = True
-    while shrunk:
-        shrunk = False
-        for candidate in _subproducts_by_size(current):
-            if _mask_is_gsp(tables, n, m, candidate, mode.code):
-                current = candidate
-                shrunk = True
-                break
-    if not is_gsp(game, current, mode):
+    for rows, cols in _products_by_size(n, m):
+        if _mask_is_gsp(tables, n, m, rows, cols, mode.code):
+            break
+    found = ActionProduct(rows, cols)
+    if not is_gsp(game, found, mode):
         raise PropertyViolationError(
             f"find_saddle ended on a non-GSP product in game {game.digest()[:12]}"
         )
-    return current
+    return found
 
 
 def iterated_elimination(game: ZeroSumGame, mode: DominanceMode) -> ActionProduct:
@@ -215,32 +199,22 @@ def iterated_elimination(game: ZeroSumGame, mode: DominanceMode) -> ActionProduc
     strip the strict witness of an earlier row removal, so the fixpoint is
     only guaranteed to be a *weak* GSP.
     """
-    rows = list(range(game.rows))
-    cols = list(range(game.cols))
-
-    def eliminate(alive, opponents, dominates, identical):
-        removed_any = False
-        while True:
-            victim = None
-            for a2 in alive:
-                if any(
-                    a1 != a2
-                    and not identical(game, a1, a2, tuple(opponents))
-                    and dominates(game, a1, a2, opponents, mode)
-                    for a1 in alive
-                ):
-                    victim = a2
-                    break
-            if victim is None:
-                return removed_any
-            alive.remove(victim)
-            removed_any = True
-
-    changed = True
-    while changed:
-        changed = eliminate(rows, cols, row_dominates, _rows_identical)
-        changed |= eliminate(cols, rows, col_dominates, _cols_identical)
-    return ActionProduct(rows, cols)
+    alive = (list(range(game.rows)), list(range(game.cols)))
+    # Delete from one side until nothing there is dominated, then switch;
+    # stop once both sides in a row had nothing to delete.
+    columns, idle = False, 0
+    while idle < 2:
+        own, opponents = alive[columns], alive[not columns]
+        victim = next(
+            (a for a in own if _dominated_by_rival(game, columns, a, own, opponents, mode)),
+            None,
+        )
+        if victim is None:
+            columns, idle = not columns, idle + 1
+        else:
+            own.remove(victim)
+            idle = 0
+    return ActionProduct(*alive)
 
 
 def cross_products(

@@ -112,13 +112,8 @@ def check_interchangeability(
                 if crossed not in saddles:
                     violations.append(Violation("interchangeability", (s1, s2)))
                     break
-            sub1, sub2 = game.subgame(s1), game.subgame(s2)
-            same_shape = (
-                len(s1.row_set) == len(s2.row_set)
-                and len(s1.col_set) == len(s2.col_set)
-            )
-            witness = permutation_equivalent(sub1, sub2) if same_shape else None
-            if witness is None or sub1.entry_multiset() != sub2.entry_multiset():
+            witness = permutation_equivalent(game.subgame(s1), game.subgame(s2))
+            if witness is None:
                 violations.append(Violation("equivalence", (s1, s2)))
             else:
                 witnesses.append((s1, s2, witness))
@@ -168,17 +163,14 @@ def check_nash_consistency(
     value = game_value(game)
     problems = []
     for saddle in enumerate_saddles(game, DominanceMode.WEAK, size_guard):
-        sub = game.subgame(saddle)
-        sub_value = game_value(sub)
-        if sub_value != value:
+        pair = nash_equilibrium(game.subgame(saddle))
+        if pair.value != value:
             problems.append(
                 f"saddle {saddle.row_set}x{saddle.col_set} has value "
-                f"{sub_value}, game has {value}"
+                f"{pair.value}, game has {value}"
             )
             continue
-        embedded = embed_strategy(
-            nash_equilibrium(sub), saddle, game.rows, game.cols
-        )
+        embedded = embed_strategy(pair, saddle, game.rows, game.cols)
         if not is_nash(game, embedded):
             problems.append(
                 f"embedded equilibrium of saddle {saddle.row_set}x{saddle.col_set} "

@@ -68,6 +68,17 @@ def test_set_dominance_absent(a2):
     assert set_dominates_cols(a2, [1], [2], [1, 2], WEAK) is None
 
 
+def test_set_dominance_accepts_one_shot_restriction():
+    # Row 0 fails to dominate row 2, so row 1 is tested against the same
+    # restriction; a generator must not run dry after the first test.
+    g = new_game(3, 2, [0, 0, 1, 1, 0, 1])
+    found = set_dominates_rows(g, [0, 1], [2], iter([0, 1]), WEAK)
+    assert found is not None and dict(found.mapping) == {2: 1}
+    g = new_game(2, 3, [1, 0, 0, 1, 0, 1])
+    found = set_dominates_cols(g, [0, 1], [2], (r for r in range(2)), WEAK)
+    assert found is not None and dict(found.mapping) == {2: 1}
+
+
 def test_set_dominance_cols_exists(a1):
     witness = set_dominates_cols(a1, [0, 1, 2], [3, 4], [0, 1], WEAK)
     assert witness is not None

@@ -1,10 +1,19 @@
+import sys
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from saddles import GameParseError, format_game, new_game, parse_game
+from saddles import (
+    GameInputError,
+    GameParseError,
+    format_game,
+    new_game,
+    parse_game,
+    parse_rational,
+)
 from saddles.gamefile import GameParseError as ModuleParseError
 
 
@@ -59,6 +68,28 @@ def test_non_numeric_token():
     with pytest.raises(GameParseError) as exc:
         parse_game("1 1\nfoo\n")
     assert "line 2, column 1" in str(exc.value)
+
+
+def test_huge_exponent_rejected_quickly():
+    # Fraction would build 10**1000000 for this 9-byte token.
+    start = time.perf_counter()
+    with pytest.raises(GameParseError) as exc:
+        parse_game("1 1\n1e1000000\n")
+    assert time.perf_counter() - start < 0.1  # about 0.5 s when it builds the power
+    assert (exc.value.line, exc.value.column) == (2, 1)
+    with pytest.raises(GameParseError, match="line 2, column 3"):
+        parse_game("1 2\n0 -1e-1000000\n")
+
+
+def test_exponent_bounded_by_int_string_limit():
+    # Token length plus exponent may not pass the digits Python prints for
+    # an integer: "1e4294" is 6 + 4294 = 4300.
+    limit = sys.int_info.default_max_str_digits
+    assert parse_rational(f"1e{limit - 6}") == 10 ** (limit - 6)
+    assert parse_rational("2.5e-3") == Fraction(1, 400)
+    for token in (f"1e{limit}", f"1e-{limit}", f"1e{limit - 5}", "1e1_000_000"):
+        with pytest.raises(GameInputError, match="expands"):
+            parse_rational(token)
 
 
 def test_error_types_are_input_errors():

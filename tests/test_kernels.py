@@ -75,6 +75,17 @@ def test_mask_dominates_modes():
     assert mask_dominates(ge, gt, 0b110, MODE_WEAK_STRICT)
     assert mask_dominates(ge, gt, 0b010, MODE_STRICT)
     assert not mask_dominates(ge, gt, 0b011, MODE_STRICT)
+    # The same rule applies elementwise to numpy arrays of masks.
+    restrictions = np.array([0b101, 0b110, 0b010, 0b011, 0b000])
+    expected = {
+        MODE_WEAK: [True, True, True, True, True],
+        MODE_STRICT: [False, False, True, False, True],
+        MODE_WEAK_STRICT: [False, True, True, True, False],
+    }
+    for mode, want in expected.items():
+        got = mask_dominates(np.int64(ge), np.int64(gt), restrictions, mode)
+        assert got.tolist() == want, mode
+        assert [bool(mask_dominates(ge, gt, int(r), mode)) for r in restrictions] == want
 
 
 def test_grid_shape_and_empty_masks(a2):

@@ -100,6 +100,21 @@ def test_find_saddle_matches_enumeration_on_random_games():
             assert find_saddle(g, mode) in enumerate_saddles(g, mode)
 
 
+def test_find_saddle_is_smallest_gsp():
+    # The first GSP in (total size, row count, rows, cols) order has no proper
+    # GSP subproduct, so it is the saddle `find_saddle` must return.
+    def key(p):
+        return (p.size(), len(p.row_set), p.row_set, p.col_set)
+
+    for trial in range(40):
+        bound = 1 + trial % 3
+        g = generate(
+            GeneratorConfig(GeneratorKind.UNIFORM_INT, 4, 5, bound, trial_seed(202, trial))
+        )
+        for mode in (WEAK, STRICT, WRS):
+            assert find_saddle(g, mode) == min(all_gsps(g, mode), key=key)
+
+
 def test_find_saddle_beyond_guard():
     # 14 columns exceeds the enumeration guard; find_saddle still works.
     g = generate(GeneratorConfig(GeneratorKind.UNIFORM_INT, 4, 14, 3, 5))
