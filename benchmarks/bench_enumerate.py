@@ -1,15 +1,21 @@
 """Layer timings of exhaustive saddle enumeration, written as JSON.
 
 On seeded uniform bound-3 games under weak dominance, times each layer of
-`kernels.saddle_grids` separately:
+`kernels.saddle_grids` and of reading its answer:
 
 * ``tables_ms``: `dominance_mask_tables`, the exact comparison bitmasks;
-* ``gsp_grid_ms``: the GSP grid over all 2^(rows+cols) products, built from
-  those tables;
-* ``minimal_filter_ms``: the minimality filter applied to that grid;
-* ``saddle_grids_ms``: the public call, covering all three.
+* ``nondominator_sets_ms``: the non-dominator set of every action for every
+  opponent mask, both sides;
+* ``gsp_grid_ms``: the packed GSP grid over all 2^(rows+cols) products, from
+  the tables: non-dominator sets, marking and the downward closures;
+* ``gsp_closure_ms``: ``gsp_grid_ms`` minus ``nondominator_sets_ms``, the
+  marking and closures alone (derived, not timed on its own);
+* ``minimal_filter_ms``: the minimality closure applied to that grid;
+* ``cell_extraction_ms``: reading the saddles off the minimal grid as sorted
+  `ActionProduct`s (`solver._grid_products`);
+* ``saddle_grids_ms``: the public call, covering tables, grid and filter.
 
-Every figure is the median of ``--repeats`` timed calls after one warm-up
+Every timed figure is the median of ``--repeats`` calls after one warm-up
 call. The output records the commit, the Python and numpy versions, the CPU
 count and the repeat count.
 
@@ -35,9 +41,11 @@ from saddles.kernels import (
     MODE_WEAK,
     _gsp_grid,
     _minimal_grid,
+    _non_dominators,
     dominance_mask_tables,
     saddle_grids,
 )
+from saddles.solver import _grid_products
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -54,14 +62,28 @@ def median_ms(func, repeats):
 
 def layer_times(game, repeats):
     n, m = game.rows, game.cols
-    tables = [np.array(t, dtype=np.int64) for t in dominance_mask_tables(game)]
+    row_ge, row_gt, col_le, col_lt = tables = [
+        np.array(t, dtype=np.int32) for t in dominance_mask_tables(game)
+    ]
+    col_masks = np.arange(1 << m, dtype=np.int32)
+    row_masks = np.arange(1 << n, dtype=np.int32)
     gsp = _gsp_grid(*tables, n, m, MODE_WEAK)
-    return {
+    minimal = _minimal_grid(gsp, n + m)
+
+    def nondominator_sets():
+        _non_dominators(row_ge, row_gt, n, col_masks, MODE_WEAK)
+        _non_dominators(col_le, col_lt, m, row_masks, MODE_WEAK)
+
+    times = {
         "tables_ms": median_ms(lambda: dominance_mask_tables(game), repeats),
+        "nondominator_sets_ms": median_ms(nondominator_sets, repeats),
         "gsp_grid_ms": median_ms(lambda: _gsp_grid(*tables, n, m, MODE_WEAK), repeats),
-        "minimal_filter_ms": median_ms(lambda: _minimal_grid(gsp, n, m), repeats),
+        "minimal_filter_ms": median_ms(lambda: _minimal_grid(gsp, n + m), repeats),
+        "cell_extraction_ms": median_ms(lambda: _grid_products(minimal, game), repeats),
         "saddle_grids_ms": median_ms(lambda: saddle_grids(game, MODE_WEAK), repeats),
     }
+    times["gsp_closure_ms"] = times["gsp_grid_ms"] - times["nondominator_sets_ms"]
+    return times
 
 
 def environment(repeats):
@@ -98,15 +120,22 @@ def main():
     doc = environment(args.repeats)
     doc["workload"] = {"generator": "uniform", "bound": 3, "mode": "weak", "seed": args.seed}
     doc["results"] = []
-    print(f"{'size':>6} {'cells':>10} {'tables':>10} {'gsp grid':>10} {'filter':>10} {'total':>10}")
+    columns = (
+        ("tables_ms", "tables"),
+        ("nondominator_sets_ms", "nondom"),
+        ("gsp_closure_ms", "closure"),
+        ("minimal_filter_ms", "filter"),
+        ("cell_extraction_ms", "extract"),
+        ("saddle_grids_ms", "total"),
+    )
+    print(f"{'size':>6} {'cells':>10}" + "".join(f" {label:>10}" for _, label in columns))
     for n in args.sizes:
         game = generate(GeneratorConfig(GeneratorKind.UNIFORM_INT, n, n, 3, args.seed))
         row = {"size": f"{n}x{n}", "cells": 1 << (2 * n), **layer_times(game, args.repeats)}
         doc["results"].append(row)
         print(
-            f"{row['size']:>6} {row['cells']:>10,} {row['tables_ms']:>8.2f}ms "
-            f"{row['gsp_grid_ms']:>8.2f}ms {row['minimal_filter_ms']:>8.2f}ms "
-            f"{row['saddle_grids_ms']:>8.2f}ms"
+            f"{row['size']:>6} {row['cells']:>10,}"
+            + "".join(f" {row[key]:>8.2f}ms" for key, _ in columns)
         )
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
     print(f"wrote {args.out}")

@@ -7,6 +7,7 @@ was found (the output carries a replayable witness), 2 input or usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -183,7 +184,10 @@ def _cmd_verify(args) -> int:
     return 0 if report.all_passed else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every
+    `main` call in the process (parsing leaves it unchanged)."""
     parser = argparse.ArgumentParser(
         prog="saddles",
         description="Weak and strict saddles of two-player zero-sum games, "

@@ -6,7 +6,9 @@ class GameInputError(ValueError):
 
 
 class CapacityError(RuntimeError):
-    """Exhaustive enumeration was requested for a game above the size guard."""
+    """A resource budget was exceeded: exhaustive enumeration above the size
+    guard, saddle grids above the cell budget, or an exact result too long
+    to print."""
 
 
 class PropertyViolationError(RuntimeError):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import GameInputError
+from .errors import CapacityError, GameInputError
 
 Rational = Fraction
 
@@ -56,8 +56,18 @@ def parse_rational(token: str) -> Fraction:
 
 
 def format_rational(value: Fraction) -> str:
-    """Canonical text form: "p" for integers, "p/q" otherwise."""
-    return str(value)
+    """Canonical text form: "p" for integers, "p/q" otherwise.
+
+    Raises CapacityError when the numerator or denominator has more digits
+    than Python's integer-string limit allows.
+    """
+    try:
+        return str(value)
+    except ValueError:
+        raise CapacityError(
+            f"exact result has more than {sys.get_int_max_str_digits()} digits "
+            f"in its numerator or denominator, over the integer-string limit"
+        ) from None
 
 
 def _as_rational(value) -> Fraction:

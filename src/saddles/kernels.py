@@ -14,26 +14,46 @@ packed into bitmask tables:
 After that, scanning all (2^rows - 1) * (2^cols - 1) action products for the
 generalized-saddle-point property is integer bit twiddling with no arithmetic
 on payoffs at all, so the kernels are exact by construction. Both product
-grids are computed with whole-array numpy passes:
+grids hold one bit per product, packed into uint64 words, and are built from
+one primitive, "OR each cell into its partner across bit b of the product
+index" (a shift and mask inside each word for b < 6, a strided OR of word
+halves above):
 
 * the GSP grid marks, on each side and for every opponent mask, the action
   sets that leave some outside action undominated (exactly the subsets of
   that action's non-dominators) by marking each non-dominator set and
-  closing the marks downward over subsets, and
-* the minimality filter counts GSP subproducts with an in-place subset-sum
-  (zeta) transform over both mask axes.
+  closing the marks downward over that side's bits, and
+* the minimality filter closes the GSP grid upward, then marks every
+  product one action above a marked one; the GSPs left unmarked are minimal.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import GameInputError
+from .errors import CapacityError
 from .game import ZeroSumGame
 
 MODE_WEAK = 0
 MODE_STRICT = 1
 MODE_WEAK_STRICT = 2
+
+# Each grid holds one bit per product, 2^(rows+cols) bits, so this budget
+# (128 MB per grid) bounds memory by the grid size alone. The unpacked grids
+# of earlier versions took about ten bytes per product, so every grid that
+# fitted in memory then is within it. Masks and product indices are int32,
+# which holds any index below this budget.
+MAX_GRID_BITS = 1 << 30
+
+_WORD_SHIFT = 6  # 64 cells per uint64 word
+# _STAY[b]: the cells of a word whose in-word index has bit b clear.
+_STAY = tuple(
+    np.uint64(sum(1 << i for i in range(64) if not i >> b & 1)) for b in range(_WORD_SHIFT)
+)
+# Opponent masks per chunk when marking non-dominator sets.
+_CHUNK = 1 << 14
+# Grid size from which runs of 2-4 words are ORed lane by lane.
+_LANE_MIN_WORDS = 1 << 10
 
 
 def _pack(bits) -> list[list[int]]:
@@ -71,72 +91,125 @@ def dominance_mask_tables(game: ZeroSumGame):
 
 
 def mask_dominates(ge_mask, gt_mask, restriction, mode: int):
-    """Single dominance test against precomputed ge/gt masks; branch-free,
-    so it works on python ints and elementwise on numpy arrays alike."""
+    """Single dominance test against precomputed ge/gt masks. It branches on
+    the mode only, never on a mask, so it works on python ints and
+    elementwise on numpy arrays alike."""
+    if mode == MODE_STRICT:
+        return (restriction & ~gt_mask) == 0
     weak = (restriction & ~ge_mask) == 0
-    strict = (restriction & ~gt_mask) == 0
-    somewhere = (restriction & gt_mask) != 0
-    return weak & ((mode != MODE_STRICT) | strict) & ((mode != MODE_WEAK_STRICT) | somewhere)
+    if mode == MODE_WEAK_STRICT:
+        return weak & ((restriction & gt_mask) != 0)
+    return weak
 
 
-def _undominated_sets(ge, gt, k, opp_size, mode):
-    # bad[S, opp]: some action outside S has no dominator in S w.r.t. opp.
-    # dom[j, opp] is the bitmask of actions dominating action j w.r.t. opp.
-    # Action j is such a witness for S exactly when S is a subset of
-    # U_j = (actions not dominating j) minus j, so marking every U_j and
-    # closing downward over subsets (one in-place OR per bit) marks them all.
-    size = 1 << k
-    opps = np.arange(1 << opp_size, dtype=np.int64)
-    bits = (np.int64(1) << np.arange(k, dtype=np.int64))[:, None]
+def _non_dominators(ge, gt, k, opps, mode):
+    # nd[j, i]: bitmask of the actions other than j that do not dominate
+    # action j w.r.t. opponent mask opps[i].
+    bits = (np.int32(1) << np.arange(k, dtype=np.int32))[:, None]
     ok = mask_dominates(ge[:, :, None], gt[:, :, None], opps, mode)
-    dom = (ok * bits[:, :, None]).sum(axis=0)
-    non_dominators = (size - 1) & ~dom & ~bits
-    bad = np.zeros((size, len(opps)), dtype=np.bool_)
-    bad[non_dominators, opps] = True
-    for b in range(k):
-        view = bad.reshape(size >> (b + 1), 2, 1 << b, -1)
-        view[:, 0] |= view[:, 1]
-    return bad
+    dom = np.bitwise_or.reduce(ok * bits[:, :, None], axis=0)
+    return ((1 << k) - 1) & ~dom & ~bits
+
+
+def _spread(src, dst, b, upward):
+    # OR each cell of src into its partner across bit b of the flat index,
+    # writing into dst: from the cell without bit b to the one with it when
+    # upward, else the other way. Bits below 6 address cells inside a word.
+    if b < _WORD_SHIFT:
+        shift, stay = np.uint64(1 << b), _STAY[b]
+        dst |= (src & stay) << shift if upward else (src >> shift) & stay
+    else:
+        half = 1 << (b - _WORD_SHIFT)
+        s, d = src.reshape(-1, 2, half), dst.reshape(-1, 2, half)
+        # Many runs of 2-4 words: one strided OR per lane beats numpy's
+        # per-run loop overhead (2-word runs at 2^24 cells measured 1.9 vs
+        # 0.24 ms); on small grids the extra calls cost more than they save.
+        lanes = half <= 4 and len(dst) >= _LANE_MIN_WORDS
+        for lane in range(half) if lanes else (slice(None),):
+            if upward:
+                d[:, 1, lane] |= s[:, 0, lane]
+            else:
+                d[:, 0, lane] |= s[:, 1, lane]
+
+
+def _close(words, bits, upward):
+    # Closes the grid over the given bits of the flat index: downward marks
+    # every subset of a marked cell, upward every superset.
+    for b in bits:
+        _spread(words, words, b, upward)
+    return words
+
+
+def _bad_side(ge, gt, k, opp_size, rows_side, mode):
+    # bad[S x opp]: some action outside S has no dominator in S w.r.t. opp.
+    # Action j is such a witness for S exactly when S is a subset of its
+    # non-dominator set, so marking every non-dominator set and closing
+    # downward over this side's bits marks them all. Opponent masks are taken
+    # in chunks, so the temporaries stay bounded whatever the game's shape.
+    words = np.zeros(max(1, (1 << (k + opp_size)) >> _WORD_SHIFT), dtype=np.uint64)
+    shift = opp_size if rows_side else k
+    for start in range(0, 1 << opp_size, _CHUNK):
+        opps = np.arange(start, min(start + _CHUNK, 1 << opp_size), dtype=np.int32)
+        own = _non_dominators(ge, gt, k, opps, mode)
+        cells = (own << shift) | opps if rows_side else (opps << shift) | own
+        bit = np.uint64(1) << (cells & 63).astype(np.uint64)
+        np.bitwise_or.at(words, cells >> _WORD_SHIFT, bit)
+    return _close(words, range(shift, shift + k) if rows_side else range(k), upward=False)
 
 
 def _gsp_grid(row_ge, row_gt, col_le, col_lt, n, m, mode):
-    bad_rows = _undominated_sets(row_ge, row_gt, n, m, mode)
-    bad_cols = _undominated_sets(col_le, col_lt, m, n, mode)
-    gsp = ~(bad_rows | bad_cols.T)
-    gsp[0, :] = False
-    gsp[:, 0] = False
+    # Every product with an empty side is bad on that side (the empty set is
+    # a subset of any non-dominator set), so no GSP cell has an empty mask.
+    gsp = _bad_side(row_ge, row_gt, n, m, True, mode)
+    gsp |= _bad_side(col_le, col_lt, m, n, False, mode)
+    np.invert(gsp, out=gsp)
+    if n + m < _WORD_SHIFT:
+        gsp &= np.uint64((1 << (1 << (n + m))) - 1)
     return gsp
 
 
-def _minimal_grid(gsp, n, m):
-    # A GSP is minimal iff its only GSP subproduct is itself. cnt[R, C] counts
-    # GSP subproducts via a subset-sum transform over the n + m bits of the
-    # flat index R * 2^m + C: each pass adds, in place, every cell without
-    # bit b into its partner with it.
-    cnt = gsp.astype(np.int32)
-    flat = cnt.reshape(-1)
-    for b in range(n + m):
-        view = flat.reshape(-1, 2, 1 << b)
-        if b < 3:
-            # Runs of 1-4 cells: one strided add per lane beats numpy's
-            # per-run loop overhead.
-            for lane in range(1 << b):
-                view[:, 1, lane] += view[:, 0, lane]
-        else:
-            view[:, 1] += view[:, 0]
-    return gsp & (cnt == 1)
+def _minimal_grid(gsp, nbits):
+    # A GSP is minimal iff no proper subproduct is a GSP. up[X] marks the
+    # products with a GSP inside them; below[X] = OR over i in X of
+    # up[X - i] marks those with a GSP strictly inside.
+    up = _close(gsp.copy(), range(nbits), upward=True)
+    below = np.zeros_like(gsp)
+    for b in range(nbits):
+        _spread(up, below, b, upward=True)
+    np.invert(below, out=below)
+    below &= gsp  # the GSPs with no GSP strictly inside
+    return below
 
 
 def saddle_grids(game: ZeroSumGame, mode_code: int):
-    """(gsp, minimal) boolean grids indexed by [row mask, column mask].
+    """(gsp, minimal) grids packed one bit per product into uint64 words.
 
-    ``gsp[R][C]`` marks the generalized saddle points, ``minimal[R][C]`` the
-    inclusion-minimal ones (the saddles). Grids are 2^rows x 2^cols; callers
-    enforce their own size guards.
+    The product of row mask R and column mask C is bit ``R * 2^cols + C`` of
+    the flat grid (bit ``i % 64`` of word ``i // 64``); `grid_cells` unpacks
+    the set bits. ``gsp`` marks the generalized saddle points, ``minimal``
+    the inclusion-minimal ones (the saddles). Each grid takes 2^(rows+cols)
+    bits, at least one word; a grid over MAX_GRID_BITS raises CapacityError
+    before anything is allocated. Callers enforce their own size guards.
     """
     n, m = game.rows, game.cols
-    if n > 62 or m > 62:
-        raise GameInputError("bitmask kernels support at most 62 actions per side")
-    tables = (np.array(table, dtype=np.int64) for table in dominance_mask_tables(game))
+    if 1 << (n + m) > MAX_GRID_BITS:
+        limit = MAX_GRID_BITS.bit_length() - 1
+        raise CapacityError(
+            f"saddle grids of a {n}x{m} game need 2^{n + m} bits each, "
+            f"over the budget of 2^{limit} bits (at most {limit} actions in all)"
+        )
+    tables = (np.array(table, dtype=np.int32) for table in dominance_mask_tables(game))
     gsp = _gsp_grid(*tables, n, m, mode_code)
-    return gsp, _minimal_grid(gsp, n, m)
+    return gsp, _minimal_grid(gsp, n + m)
+
+
+def grid_cells(words, cols: int):
+    """(row masks, column masks) of the set bits of a packed grid, in
+    ascending (row mask, column mask) order."""
+    nonzero = np.flatnonzero(words)
+    bits = np.unpackbits(
+        words[nonzero].astype("<u8", copy=False).view(np.uint8), bitorder="little"
+    ).reshape(-1, 64)
+    word, bit = np.nonzero(bits)
+    cells = (nonzero[word] << _WORD_SHIFT) | bit
+    return cells >> cols, cells & ((1 << cols) - 1)

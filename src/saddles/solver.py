@@ -12,8 +12,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import kernels
 from .dominance import (
     DominanceMode,
@@ -73,12 +71,12 @@ def _mask_to_indices(mask: int, count: int) -> tuple[int, ...]:
 
 
 def _grid_products(grid, game: ZeroSumGame) -> tuple[ActionProduct, ...]:
-    pairs = np.argwhere(grid)
+    row_masks, col_masks = kernels.grid_cells(grid, game.cols)
     products = [
         ActionProduct(
-            _mask_to_indices(int(rm), game.rows), _mask_to_indices(int(cm), game.cols)
+            _mask_to_indices(rm, game.rows), _mask_to_indices(cm, game.cols)
         )
-        for rm, cm in pairs
+        for rm, cm in zip(row_masks.tolist(), col_masks.tolist())
     ]
     return tuple(sorted(products))
 

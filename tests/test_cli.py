@@ -1,10 +1,11 @@
 import json
 import multiprocessing
 import os
+import re
 
 import pytest
 
-from saddles.cli import main
+from saddles.cli import build_parser, main
 from saddles.report import ResultDocument, emit_result
 
 A1_TEXT = "4 5\n2 1 0 1 2\n0 3 4 4 1\n0 2 2 1 2\n2 1 0 2 1\n"
@@ -121,6 +122,67 @@ def test_capacity_error_exit_code(capsys, tmp_path):
     assert main(["enumerate", str(path)]) == 2
     assert main(["enumerate", str(path), "--size-guard", "13"]) == 0
     capsys.readouterr()
+
+
+def test_grid_budget_exit_code(capsys, tmp_path):
+    # 2^40 products: refused before any grid is allocated, not a traceback.
+    path = tmp_path / "wide.game"
+    body = "\n".join(" ".join(str((r * c) % 7 - 3) for c in range(20)) for r in range(20))
+    path.write_text(f"20 20\n{body}\n")
+    assert main(["enumerate", str(path), "--size-guard", "20"]) == 2
+    assert "2^40 bits" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["value", "nash"])
+def test_result_over_integer_string_limit_exit_code(capsys, tmp_path, command):
+    # Two legal 4291-digit entries: the value 1/(1/a + 1/d) has about 8,580
+    # digits, which str() of an int refuses to print.
+    big = "1" + "0" * 4289
+    path = tmp_path / "huge.game"
+    path.write_text(f"2 2\n{big}1 0\n0 {big}3\n")
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "digits" in captured.err and "Traceback" not in captured.err
+
+
+def _outputs(capsys, argvs, fresh):
+    # (exit code, stdout, stderr) of each call, with the campaign duration
+    # blanked; usage errors exit through SystemExit, like any argparse program.
+    results = []
+    for argv in argvs:
+        if fresh:
+            build_parser.cache_clear()
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        out = re.sub(r'"duration_seconds": [-+.e0-9]+', "", captured.out)
+        results.append((code, out, captured.err))
+    return results
+
+
+def test_parser_is_built_once_and_reused(capsys, a1_file, a2_file):
+    argvs = [
+        ("enumerate", a1_file, "--json"),
+        ("value", a2_file),
+        ("find", a2_file, "--mode", "strict"),
+        ("check", a1_file, "--json"),
+        ("strict", a2_file, "--size-guard", "5"),
+        ("enumerate", a1_file, "--mode", "nonsense"),
+        ("value",),
+        ("verify", "--trials", "2", "--rows", "3", "--cols", "3", "--gen", "uniform",
+         "--seed", "1", "--json"),
+        ("frobnicate", a1_file),
+    ]
+    fresh = _outputs(capsys, argvs, fresh=True)
+    build_parser.cache_clear()
+    shared = _outputs(capsys, argvs, fresh=False)
+    assert build_parser.cache_info().misses == 1
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [0, 0, 0, 0, 0, 2, 2, 0, 2]
+    assert "usage: saddles" in shared[-1][2]
 
 
 def test_verify_json_deterministic(capsys):

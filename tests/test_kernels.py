@@ -8,14 +8,23 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_is_gsp, brute_saddles
-from saddles import GeneratorConfig, GeneratorKind, generate, new_game, trial_seed
+from saddles import (
+    CapacityError,
+    GeneratorConfig,
+    GeneratorKind,
+    generate,
+    new_game,
+    trial_seed,
+)
+from saddles import kernels
 from saddles.kernels import (
+    MAX_GRID_BITS,
     MODE_STRICT,
     MODE_WEAK,
     MODE_WEAK_STRICT,
     dominance_mask_tables,
+    grid_cells,
     mask_dominates,
-    saddle_grids,
 )
 
 ORACLE_MODES = {MODE_WEAK: "weak", MODE_STRICT: "strict", MODE_WEAK_STRICT: "weak-strict"}
@@ -41,6 +50,18 @@ def palette_games(draw, max_rows=4, max_cols=5):
 
 def _indices(mask):
     return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def _dense(words, rows, cols):
+    # Unpacks a packed grid into the boolean [row mask, column mask] array:
+    # bit i % 64 of word i // 64 is product i = R * 2^cols + C.
+    bits = np.unpackbits(words.astype("<u8").view(np.uint8), bitorder="little")
+    return bits[: 1 << (rows + cols)].astype(bool).reshape(1 << rows, 1 << cols)
+
+
+def saddle_grids(game, mode):
+    gsp, minimal = kernels.saddle_grids(game, mode)
+    return _dense(gsp, game.rows, game.cols), _dense(minimal, game.rows, game.cols)
 
 
 def test_mask_tables_match_entry_comparisons(a1):
@@ -115,6 +136,79 @@ def test_grids_match_oracles(game):
                 assert gsp[row_mask, col_mask] == expected, (row_mask, col_mask, name)
         found = sorted((_indices(int(r)), _indices(int(c))) for r, c in np.argwhere(minimal))
         assert found == brute_saddles(entries, name), name
+
+
+# Products n + m = 2, 5, 6, 7 and 12: a partial word, exactly one word, two
+# words, and many.
+@pytest.mark.parametrize("rows, cols", [(1, 1), (2, 3), (3, 3), (3, 4), (6, 6)])
+@pytest.mark.parametrize("mode", sorted(ORACLE_MODES))
+def test_word_boundary_sizes(rows, cols, mode):
+    cells = 1 << (rows + cols)
+    for seed in range(3):
+        game = generate(GeneratorConfig(GeneratorKind.UNIFORM_INT, rows, cols, 1, seed))
+        packed = kernels.saddle_grids(game, mode)
+        for words in packed:
+            assert words.dtype == np.uint64 and words.ndim == 1
+            assert len(words) == max(1, cells // 64)
+            if cells < 64:
+                assert int(words[0]) >> cells == 0
+        gsp, minimal = (_dense(words, rows, cols) for words in packed)
+        entries, name = game.entries, ORACLE_MODES[mode]
+        for row_mask in range(1 << rows):
+            for col_mask in range(1 << cols):
+                expected = bool(row_mask and col_mask) and brute_is_gsp(
+                    entries, _indices(row_mask), _indices(col_mask), name
+                )
+                assert gsp[row_mask, col_mask] == expected, (row_mask, col_mask)
+        row_masks, col_masks = (masks.tolist() for masks in grid_cells(packed[1], cols))
+        found = [(_indices(r), _indices(c)) for r, c in zip(row_masks, col_masks)]
+        assert sorted(found) == brute_saddles(entries, name)
+        assert np.array_equal(np.stack(grid_cells(packed[0], cols), axis=1), np.argwhere(gsp))
+
+
+@pytest.mark.parametrize("rows, cols", [(1, 16), (16, 1)])
+def test_lopsided_games_marked_in_chunks(rows, cols):
+    # 2^16 opponent masks on the long side's opponent, so its marks come in
+    # several chunks. With one row or one column the answers have closed
+    # forms: a product is a weak GSP iff it holds a best action of the long
+    # side (largest entry for rows, smallest for columns), the weak saddles
+    # are the best singletons, and the strict and weak-strict saddle is the
+    # set of all best actions.
+    values = [3, -2, 2, 5, 5, 0, 1, 5, -2, 4, 4, 0, 3, 5, 1, -1]
+    game = new_game(rows, cols, values)
+    target = max(values) if cols == 1 else min(values)
+    best = [i for i, v in enumerate(values) if v == target]
+
+    def long_masks(words):
+        row_masks, col_masks = grid_cells(words, cols)
+        assert set((col_masks if cols == 1 else row_masks).tolist()) == {1}
+        return (row_masks if cols == 1 else col_masks).tolist()
+
+    gsp, minimal = kernels.saddle_grids(game, MODE_WEAK)
+    assert len(long_masks(gsp)) == 2**16 - 2 ** (16 - len(best))
+    assert long_masks(minimal) == [1 << i for i in best]
+    for mode in (MODE_STRICT, MODE_WEAK_STRICT):
+        _, minimal = kernels.saddle_grids(game, mode)
+        assert long_masks(minimal) == [sum(1 << i for i in best)]
+
+
+def test_grid_budget_checked_before_allocation(monkeypatch):
+    class Reached(Exception):
+        pass
+
+    def tables(game):
+        raise Reached  # the first thing saddle_grids builds
+
+    monkeypatch.setattr(kernels, "dominance_mask_tables", tables)
+    limit = MAX_GRID_BITS.bit_length() - 1
+    # The unpacked grids took about ten bytes per product, so none past
+    # 14x14 (2.7 GB) fitted in memory; 15x15 is within the budget.
+    for rows, cols in ((15, 15), (limit - 1, 1)):
+        with pytest.raises(Reached):
+            kernels.saddle_grids(new_game(rows, cols, [0] * (rows * cols)), MODE_WEAK)
+    for rows, cols in ((limit, 1), (20, 20), (1, 62)):
+        with pytest.raises(CapacityError, match=f"2\\^{rows + cols} bits"):
+            kernels.saddle_grids(new_game(rows, cols, [0] * (rows * cols)), MODE_WEAK)
 
 
 # SHA-256 of packbits(gsp) + packbits(minimal) per mode (weak, strict,
