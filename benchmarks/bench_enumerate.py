@@ -15,6 +15,14 @@ On seeded uniform bound-3 games under weak dominance, times each layer of
   `ActionProduct`s (`solver._grid_products`);
 * ``saddle_grids_ms``: the public call, covering tables, grid and filter.
 
+It also times the exact LP layer, under ``lp``, on seeded uniform games of
+the shapes and bounds in `LP_WORKLOADS`, each figure per game over a batch of
+`LP_GAMES` games:
+
+* ``solve_standard_max_ms``: the simplex alone, on the shifted LP that
+  `equilibrium.game_value` solves;
+* ``game_value_ms``: the public call, which builds and solves that LP.
+
 Every timed figure is the median of ``--repeats`` calls after one warm-up
 call. The output records the commit, the Python and numpy versions, the CPU
 count and the repeat count.
@@ -32,11 +40,12 @@ import platform
 import statistics
 import subprocess
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
-from saddles import GeneratorConfig, GeneratorKind, generate
+from saddles import GeneratorConfig, GeneratorKind, game_value, generate
 from saddles.kernels import (
     MODE_WEAK,
     _gsp_grid,
@@ -45,9 +54,14 @@ from saddles.kernels import (
     dominance_mask_tables,
     saddle_grids,
 )
+from saddles.simplex import solve_standard_max
 from saddles.solver import _grid_products
 
 ROOT = Path(__file__).resolve().parent.parent
+# (size, bound) of the LP layer workloads: campaign-sized 5x5 games at both
+# of its bounds, and a larger 8x8 tableau.
+LP_WORKLOADS = ((5, 3), (5, 1), (8, 3))
+LP_GAMES = 20
 
 
 def median_ms(func, repeats):
@@ -84,6 +98,35 @@ def layer_times(game, repeats):
     }
     times["gsp_closure_ms"] = times["gsp_grid_ms"] - times["nondominator_sets_ms"]
     return times
+
+
+def lp_times(n, bound, seed, repeats):
+    games = [
+        generate(GeneratorConfig(GeneratorKind.UNIFORM_INT, n, n, bound, seed + k))
+        for k in range(LP_GAMES)
+    ]
+    # The LP `game_value` solves: entries shifted positive, unit c and b.
+    lps = []
+    for game in games:
+        shift = 1 - min(v for row in game.entries for v in row)
+        shifted = [[v + shift for v in row] for row in game.entries]
+        lps.append(([Fraction(1)] * n, shifted, [Fraction(1)] * n))
+
+    def solve_all():
+        for lp in lps:
+            solve_standard_max(*lp)
+
+    def value_all():
+        for game in games:
+            game_value(game)
+
+    return {
+        "size": f"{n}x{n}",
+        "bound": bound,
+        "games": LP_GAMES,
+        "solve_standard_max_ms": median_ms(solve_all, repeats) / LP_GAMES,
+        "game_value_ms": median_ms(value_all, repeats) / LP_GAMES,
+    }
 
 
 def environment(repeats):
@@ -136,6 +179,15 @@ def main():
         print(
             f"{row['size']:>6} {row['cells']:>10,}"
             + "".join(f" {row[key]:>8.2f}ms" for key, _ in columns)
+        )
+    doc["lp"] = []
+    print(f"\n{'lp':>6} {'bound':>6} {'simplex':>10} {'value':>10}")
+    for n, bound in LP_WORKLOADS:
+        row = lp_times(n, bound, args.seed, args.repeats)
+        doc["lp"].append(row)
+        print(
+            f"{row['size']:>6} {bound:>6} {row['solve_standard_max_ms']:>8.3f}ms"
+            f" {row['game_value_ms']:>8.3f}ms"
         )
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
     print(f"wrote {args.out}")

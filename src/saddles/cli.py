@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success / all checks passed, 1 a verified property violation
-was found (the output carries a replayable witness), 2 input or usage error.
+was found (the output carries a replayable witness), 2 input or usage error,
+or a breached resource budget (including running out of memory).
 """
 
 from __future__ import annotations
@@ -266,6 +267,9 @@ def main(argv=None) -> int:
         return 2
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 2
 
 

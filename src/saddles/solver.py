@@ -248,39 +248,43 @@ def permutation_equivalent(
         [i for i in range(b.rows) if sig_b[i] == _row_signature(a, r)]
         for r in range(a.rows)
     ]
+    return _assign_rows(a, b, candidates, [], [False] * b.rows)
 
-    def match_columns(row_perm: list[int]) -> list[int] | None:
-        used = [False] * b.cols
-        col_perm = []
-        for j in range(a.cols):
-            source = tuple(a.entry(i, j) for i in range(a.rows))
-            for j2 in range(b.cols):
-                if used[j2]:
-                    continue
-                if all(source[i] == b.entry(row_perm[i], j2) for i in range(a.rows)):
-                    used[j2] = True
-                    col_perm.append(j2)
-                    break
-            else:
-                return None
-        return col_perm
 
-    def assign(r: int, row_perm: list[int], used: list[bool]):
-        if r == a.rows:
-            cols = match_columns(row_perm)
-            if cols is not None:
-                return PermutationWitness(tuple(row_perm), tuple(cols))
-            return None
-        for i in candidates[r]:
-            if used[i]:
-                continue
-            used[i] = True
-            row_perm.append(i)
-            witness = assign(r + 1, row_perm, used)
-            if witness is not None:
-                return witness
-            row_perm.pop()
-            used[i] = False
+# Module-level rather than nested closures: a recursive closure refers to
+# itself through its cell, so each call would leave a reference cycle (and
+# the games it holds) for the cyclic collector.
+def _assign_rows(a, b, candidates, row_perm, used):
+    if len(row_perm) == a.rows:
+        cols = _match_columns(a, b, row_perm)
+        if cols is not None:
+            return PermutationWitness(tuple(row_perm), tuple(cols))
         return None
+    for i in candidates[len(row_perm)]:
+        if used[i]:
+            continue
+        used[i] = True
+        row_perm.append(i)
+        witness = _assign_rows(a, b, candidates, row_perm, used)
+        if witness is not None:
+            return witness
+        row_perm.pop()
+        used[i] = False
+    return None
 
-    return assign(0, [], [False] * b.rows)
+
+def _match_columns(a, b, row_perm):
+    used = [False] * b.cols
+    col_perm = []
+    for j in range(a.cols):
+        source = tuple(a.entry(i, j) for i in range(a.rows))
+        for j2 in range(b.cols):
+            if used[j2]:
+                continue
+            if all(source[i] == b.entry(row_perm[i], j2) for i in range(a.rows)):
+                used[j2] = True
+                col_perm.append(j2)
+                break
+        else:
+            return None
+    return col_perm

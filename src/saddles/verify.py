@@ -14,7 +14,6 @@ trial is a falsification, not noise.
 from __future__ import annotations
 
 import enum
-import multiprocessing
 import time
 from dataclasses import dataclass, replace
 
@@ -363,6 +362,10 @@ def run_trials(config: TrialConfig, jobs: int = 1) -> CampaignReport:
     start = time.perf_counter()
     work = [(config, t) for t in range(config.trials)]
     if jobs > 1 and config.trials > 1:
+        # Imported here: a serial run, and every other command, never pays
+        # for it.
+        import multiprocessing
+
         with multiprocessing.Pool(jobs) as pool:
             raw = pool.map(_run_trial, work, chunksize=max(1, config.trials // (4 * jobs)))
     else:

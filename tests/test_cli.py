@@ -2,6 +2,9 @@ import json
 import multiprocessing
 import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -131,6 +134,28 @@ def test_grid_budget_exit_code(capsys, tmp_path):
     path.write_text(f"20 20\n{body}\n")
     assert main(["enumerate", str(path), "--size-guard", "20"]) == 2
     assert "2^40 bits" in capsys.readouterr().err
+
+
+def test_memory_error_exit_code(capsys, monkeypatch, a1_file):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr("saddles.cli.enumerate_saddles", exhausted)
+    assert main(["enumerate", a1_file]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: out of memory\n"
+
+
+def test_import_does_not_load_multiprocessing():
+    # Only `verify --jobs N` with N > 1 needs a process pool.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    probe = "import sys, saddles.cli; print('multiprocessing' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout == "False\n"
 
 
 @pytest.mark.parametrize("command", ["value", "nash"])

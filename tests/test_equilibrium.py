@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -52,6 +53,21 @@ def test_value_agrees_with_support_oracle(a1, a3):
     for game in (a1, a3):
         entries = [list(row) for row in game.entries]
         assert game_value(game) == support_enumeration_value(entries)
+
+
+def test_value_agrees_with_support_oracle_on_rational_games():
+    # Non-integer entries with unlike denominators, up to 4x4; small
+    # numerators make ties and degenerate supports common.
+    rng = random.Random(1412)
+    for trial in range(120):
+        rows, cols = trial % 4 + 1, (trial // 4) % 4 + 1
+        entries = [
+            [Fraction(rng.randint(-4, 4), rng.choice((1, 2, 3, 5, 6))) for _ in range(cols)]
+            for _ in range(rows)
+        ]
+        game = new_game(rows, cols, [v for row in entries for v in row])
+        assert game_value(game) == support_enumeration_value(entries)
+        assert is_nash(game, nash_equilibrium(game))
 
 
 def test_nash_equilibrium_is_nash(a1, a2, a3):

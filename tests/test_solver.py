@@ -1,3 +1,7 @@
+import gc
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -217,6 +221,53 @@ def test_permutation_witness_is_exact():
                 assert g.entry(r, c) == shuffled.entry(
                     witness.row_perm[r], witness.col_perm[c]
                 )
+
+
+def _first_witness(a, b):
+    # The lexicographically first row permutation that admits a column
+    # permutation, with each column sent to the lowest free equal column.
+    for row_perm in itertools.permutations(range(a.rows)):
+        col_perm, free = [], list(range(b.cols))
+        for j in range(a.cols):
+            column = [a.entry(i, j) for i in range(a.rows)]
+            match = next(
+                (j2 for j2 in free
+                 if column == [b.entry(row_perm[i], j2) for i in range(a.rows)]),
+                None,
+            )
+            if match is None:
+                break
+            free.remove(match)
+            col_perm.append(match)
+        else:
+            return row_perm, tuple(col_perm)
+    return None
+
+
+def test_permutation_witness_is_the_first_in_order():
+    # Bound-1 games are full of equal rows and columns, so many witnesses tie.
+    rng = random.Random(77)
+    for trial in range(40):
+        n, m = 2 + trial % 3, 2 + (trial // 3) % 3
+        g = generate(GeneratorConfig(GeneratorKind.UNIFORM_INT, n, m, 1, trial_seed(405, trial)))
+        rows, cols = rng.sample(range(n), n), rng.sample(range(m), m)
+        shuffled = new_game(n, m, [g.entry(rows[r], cols[c]) for r in range(n) for c in range(m)])
+        witness = permutation_equivalent(g, shuffled)
+        assert (witness.row_perm, witness.col_perm) == _first_witness(g, shuffled)
+
+
+def test_permutation_equivalent_leaves_no_cyclic_garbage(a3):
+    # Refcounting alone must free every frame and subgame of a call.
+    gc.collect()
+    gc.disable()
+    try:
+        assert permutation_equivalent(a3, a3) is not None
+        # Same entry multiset, no witness: the search backtracks and fails.
+        a, b = new_game(2, 2, [0, 1, 1, 0]), new_game(2, 2, [0, 1, 0, 1])
+        assert permutation_equivalent(a, b) is None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_cross_products(a3):
