@@ -23,6 +23,15 @@ the shapes and bounds in `LP_WORKLOADS`, each figure per game over a batch of
   `equilibrium.game_value` solves;
 * ``game_value_ms``: the public call, which builds and solves that LP.
 
+Under ``trial`` it times one campaign trial (`verify._run_trial`) with the
+four checks of the benchmark's campaign workload, on `TRIAL_GAMES` seeded
+uniform 5x5 games at each of `TRIAL_BOUNDS`:
+
+* ``trial_ms``: per trial, generation and all four checks;
+* ``tables_per_trial`` and ``grids_per_trial``: the calls of
+  `kernels.dominance_mask_tables` and `kernels.saddle_grids` per trial,
+  counted in one untimed pass.
+
 Every timed figure is the median of ``--repeats`` calls after one warm-up
 call. The output records the commit, the Python and numpy versions, the CPU
 count and the repeat count.
@@ -40,12 +49,21 @@ import platform
 import statistics
 import subprocess
 import time
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 
-from saddles import GeneratorConfig, GeneratorKind, game_value, generate
+from saddles import (
+    CheckKind,
+    GeneratorConfig,
+    GeneratorKind,
+    TrialConfig,
+    game_value,
+    generate,
+    kernels,
+)
 from saddles.kernels import (
     MODE_WEAK,
     _gsp_grid,
@@ -56,12 +74,22 @@ from saddles.kernels import (
 )
 from saddles.simplex import solve_standard_max
 from saddles.solver import _grid_products
+from saddles.verify import _run_trial
 
 ROOT = Path(__file__).resolve().parent.parent
 # (size, bound) of the LP layer workloads: campaign-sized 5x5 games at both
 # of its bounds, and a larger 8x8 tableau.
 LP_WORKLOADS = ((5, 3), (5, 1), (8, 3))
 LP_GAMES = 20
+# The checks of one trial of the benchmark's campaign workload.
+TRIAL_CHECKS = (
+    CheckKind.INTERCHANGEABILITY,
+    CheckKind.STRICT_UNIQUE,
+    CheckKind.SUBGAME_RESTRICTION,
+    CheckKind.NASH_CONSISTENCY,
+)
+TRIAL_BOUNDS = (3, 1)
+TRIAL_GAMES = 20
 
 
 def median_ms(func, repeats):
@@ -94,7 +122,9 @@ def layer_times(game, repeats):
         "gsp_grid_ms": median_ms(lambda: _gsp_grid(*tables, n, m, MODE_WEAK), repeats),
         "minimal_filter_ms": median_ms(lambda: _minimal_grid(gsp, n + m), repeats),
         "cell_extraction_ms": median_ms(lambda: _grid_products(minimal, game), repeats),
-        "saddle_grids_ms": median_ms(lambda: saddle_grids(game, MODE_WEAK), repeats),
+        "saddle_grids_ms": median_ms(
+            lambda: saddle_grids(game, MODE_WEAK, dominance_mask_tables(game)), repeats
+        ),
     }
     times["gsp_closure_ms"] = times["gsp_grid_ms"] - times["nondominator_sets_ms"]
     return times
@@ -126,6 +156,41 @@ def lp_times(n, bound, seed, repeats):
         "games": LP_GAMES,
         "solve_standard_max_ms": median_ms(solve_all, repeats) / LP_GAMES,
         "game_value_ms": median_ms(value_all, repeats) / LP_GAMES,
+    }
+
+
+def trial_times(bound, seed, repeats):
+    config = TrialConfig(
+        trials=TRIAL_GAMES,
+        generator=GeneratorConfig(GeneratorKind.UNIFORM_INT, 5, 5, bound, 0),
+        checks=TRIAL_CHECKS,
+        seed=seed,
+    )
+
+    def run_all():
+        for trial in range(TRIAL_GAMES):
+            _run_trial((config, trial))
+
+    builds = Counter()
+    originals = {name: getattr(kernels, name) for name in ("dominance_mask_tables", "saddle_grids")}
+    for name, func in originals.items():
+        def counted(*args, _name=name, _func=func):
+            builds[_name] += 1
+            return _func(*args)
+
+        setattr(kernels, name, counted)
+    try:
+        run_all()
+    finally:
+        for name, func in originals.items():
+            setattr(kernels, name, func)
+    return {
+        "size": "5x5",
+        "bound": bound,
+        "games": TRIAL_GAMES,
+        "trial_ms": median_ms(run_all, repeats) / TRIAL_GAMES,
+        "tables_per_trial": builds["dominance_mask_tables"] / TRIAL_GAMES,
+        "grids_per_trial": builds["saddle_grids"] / TRIAL_GAMES,
     }
 
 
@@ -188,6 +253,15 @@ def main():
         print(
             f"{row['size']:>6} {bound:>6} {row['solve_standard_max_ms']:>8.3f}ms"
             f" {row['game_value_ms']:>8.3f}ms"
+        )
+    doc["trial"] = []
+    print(f"\n{'trial':>6} {'bound':>6} {'time':>10} {'tables':>7} {'grids':>6}")
+    for bound in TRIAL_BOUNDS:
+        row = trial_times(bound, args.seed, args.repeats)
+        doc["trial"].append(row)
+        print(
+            f"{row['size']:>6} {bound:>6} {row['trial_ms']:>8.3f}ms"
+            f" {row['tables_per_trial']:>7.2f} {row['grids_per_trial']:>6.2f}"
         )
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
     print(f"wrote {args.out}")

@@ -39,6 +39,7 @@ from .gamefile import GameParseError, format_game, parse_game
 from .generators import GeneratorConfig, GeneratorKind, generate, trial_seed
 from .report import ResultDocument, emit_result
 from .solver import (
+    GameAnalysis,
     PermutationWitness,
     SaddleSet,
     all_gsps,
@@ -75,6 +76,7 @@ __all__ = [
     "CheckVerdict",
     "DominanceMode",
     "DominanceWitness",
+    "GameAnalysis",
     "GameInputError",
     "GameParseError",
     "GeneratorConfig",

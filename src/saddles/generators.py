@@ -18,7 +18,10 @@ import numpy as np
 from .errors import GameInputError
 from .game import ZeroSumGame
 
-_SEED_MAX = 2**64 - 1
+SEED_MAX = 2**64 - 1
+# Every generator draws from a range of 2*bound + 1 integers, which must fit
+# numpy's int64.
+BOUND_MAX = 2**62 - 1
 
 
 class GeneratorKind(enum.Enum):
@@ -39,9 +42,9 @@ class GeneratorConfig:
     def __post_init__(self):
         if self.rows < 1 or self.cols < 1:
             raise GameInputError("generator needs rows >= 1 and cols >= 1")
-        if self.bound < 1:
-            raise GameInputError("entry bound must be >= 1")
-        if not 0 <= self.seed <= _SEED_MAX:
+        if not 1 <= self.bound <= BOUND_MAX:
+            raise GameInputError(f"entry bound must be in [1, {BOUND_MAX}]")
+        if not 0 <= self.seed <= SEED_MAX:
             raise GameInputError("seed must fit in 64 bits")
         if self.kind in (GeneratorKind.CONFRONTATION, GeneratorKind.TOURNAMENT):
             if self.rows != self.cols:

@@ -181,25 +181,31 @@ def _minimal_grid(gsp, nbits):
     return below
 
 
-def saddle_grids(game: ZeroSumGame, mode_code: int):
-    """(gsp, minimal) grids packed one bit per product into uint64 words.
-
-    The product of row mask R and column mask C is bit ``R * 2^cols + C`` of
-    the flat grid (bit ``i % 64`` of word ``i // 64``); `grid_cells` unpacks
-    the set bits. ``gsp`` marks the generalized saddle points, ``minimal``
-    the inclusion-minimal ones (the saddles). Each grid takes 2^(rows+cols)
-    bits, at least one word; a grid over MAX_GRID_BITS raises CapacityError
-    before anything is allocated. Callers enforce their own size guards.
-    """
-    n, m = game.rows, game.cols
-    if 1 << (n + m) > MAX_GRID_BITS:
+def check_grid_budget(rows: int, cols: int) -> None:
+    """Raise CapacityError when the grids of a rows x cols game would exceed
+    MAX_GRID_BITS; checked before anything is built for them."""
+    if 1 << (rows + cols) > MAX_GRID_BITS:
         limit = MAX_GRID_BITS.bit_length() - 1
         raise CapacityError(
-            f"saddle grids of a {n}x{m} game need 2^{n + m} bits each, "
+            f"saddle grids of a {rows}x{cols} game need 2^{rows + cols} bits each, "
             f"over the budget of 2^{limit} bits (at most {limit} actions in all)"
         )
-    tables = (np.array(table, dtype=np.int32) for table in dominance_mask_tables(game))
-    gsp = _gsp_grid(*tables, n, m, mode_code)
+
+
+def saddle_grids(game: ZeroSumGame, mode_code: int, tables):
+    """(gsp, minimal) grids packed one bit per product into uint64 words.
+
+    `tables` are the game's `dominance_mask_tables`. The product of row mask
+    R and column mask C is bit ``R * 2^cols + C`` of the flat grid (bit
+    ``i % 64`` of word ``i // 64``); `grid_cells` unpacks the set bits.
+    ``gsp`` marks the generalized saddle points, ``minimal`` the
+    inclusion-minimal ones (the saddles). Each grid takes 2^(rows+cols) bits,
+    at least one word; a grid over MAX_GRID_BITS raises CapacityError before
+    anything is allocated. Callers enforce their own size guards.
+    """
+    n, m = game.rows, game.cols
+    check_grid_budget(n, m)
+    gsp = _gsp_grid(*(np.array(table, dtype=np.int32) for table in tables), n, m, mode_code)
     return gsp, _minimal_grid(gsp, n + m)
 
 

@@ -4,13 +4,15 @@ A product R' x C' is a generalized saddle point (GSP) when R' dominates all
 outside rows w.r.t. C' and C' dominates all outside columns w.r.t. R'. A
 saddle is an inclusion-minimal GSP. `enumerate_saddles` finds them all by
 exhaustive scan (guarded, exponential); `find_saddle` returns one and also
-works past the guard.
+works past the guard. A `GameAnalysis` holds one game's tables and grids,
+so several questions about the same game share one build of each.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import kernels
 from .dominance import (
@@ -81,6 +83,41 @@ def _grid_products(grid, game: ZeroSumGame) -> tuple[ActionProduct, ...]:
     return tuple(sorted(products))
 
 
+@dataclass(frozen=True)
+class GameAnalysis:
+    """One game's dominance tables and saddle grids, each built at most once.
+
+    The mask tables are built on the first grid request and the (gsp,
+    minimal) grids of each dominance mode on the first request for that
+    mode. Every function that takes a game also takes its analysis, so the
+    checks of one campaign trial share it; nothing is cached beyond the
+    analysis itself, which lives as long as its caller keeps it.
+    """
+
+    game: ZeroSumGame
+    _grids: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    @functools.cached_property
+    def tables(self):
+        """The game's `kernels.dominance_mask_tables`, built on first use."""
+        return kernels.dominance_mask_tables(self.game)
+
+    def grids(self, mode: DominanceMode):
+        """(gsp, minimal) packed grids under `mode`; the grid budget is
+        checked before the tables are built."""
+        found = self._grids.get(mode)
+        if found is None:
+            kernels.check_grid_budget(self.game.rows, self.game.cols)
+            found = kernels.saddle_grids(self.game, mode.code, self.tables)
+            self._grids[mode] = found
+        return found
+
+
+def analyze(subject: ZeroSumGame | GameAnalysis) -> GameAnalysis:
+    """The analysis passed in, or a fresh one of the game passed in."""
+    return subject if isinstance(subject, GameAnalysis) else GameAnalysis(subject)
+
+
 def _check_guard(game: ZeroSumGame, size_guard: int) -> None:
     if game.rows > size_guard or game.cols > size_guard:
         raise CapacityError(
@@ -90,7 +127,7 @@ def _check_guard(game: ZeroSumGame, size_guard: int) -> None:
 
 
 def enumerate_saddles(
-    game: ZeroSumGame,
+    subject: ZeroSumGame | GameAnalysis,
     mode: DominanceMode,
     size_guard: int = DEFAULT_SIZE_GUARD,
 ) -> SaddleSet:
@@ -99,35 +136,38 @@ def enumerate_saddles(
     Scans every nonempty product of action subsets, so the cost is
     2^(rows+cols) dominance-mask tests; the guard keeps that honest.
     """
-    _check_guard(game, size_guard)
-    _, minimal = kernels.saddle_grids(game, mode.code)
-    return SaddleSet(mode=mode, saddles=_grid_products(minimal, game))
+    analysis = analyze(subject)
+    _check_guard(analysis.game, size_guard)
+    _, minimal = analysis.grids(mode)
+    return SaddleSet(mode=mode, saddles=_grid_products(minimal, analysis.game))
 
 
 def all_gsps(
-    game: ZeroSumGame,
+    subject: ZeroSumGame | GameAnalysis,
     mode: DominanceMode,
     size_guard: int = DEFAULT_SIZE_GUARD,
 ) -> tuple[ActionProduct, ...]:
     """Every GSP (not just the minimal ones), lexicographically sorted."""
-    _check_guard(game, size_guard)
-    gsp, _ = kernels.saddle_grids(game, mode.code)
-    return _grid_products(gsp, game)
+    analysis = analyze(subject)
+    _check_guard(analysis.game, size_guard)
+    gsp, _ = analysis.grids(mode)
+    return _grid_products(gsp, analysis.game)
 
 
 def strict_saddle(
-    game: ZeroSumGame, size_guard: int = DEFAULT_SIZE_GUARD
+    subject: ZeroSumGame | GameAnalysis, size_guard: int = DEFAULT_SIZE_GUARD
 ) -> ActionProduct:
     """The unique minimal strict GSP.
 
     Uniqueness holds for every zero-sum game; a count other than one is
     reported as a PropertyViolationError, never ignored.
     """
-    found = enumerate_saddles(game, DominanceMode.STRICT, size_guard)
+    analysis = analyze(subject)
+    found = enumerate_saddles(analysis, DominanceMode.STRICT, size_guard)
     if len(found) != 1:
         raise PropertyViolationError(
             f"expected exactly one strict saddle, found {len(found)} "
-            f"in game {game.digest()[:12]}"
+            f"in game {analysis.game.digest()[:12]}"
         )
     return found.saddles[0]
 

@@ -21,13 +21,15 @@ import numpy as np
 
 from .dominance import DominanceMode
 from .equilibrium import embed_strategy, game_value, is_nash, nash_equilibrium
-from .errors import GameInputError
+from .errors import CapacityError, GameInputError
 from .game import ActionProduct, ZeroSumGame
-from .generators import GeneratorConfig, GeneratorKind, generate, trial_seed
+from .generators import SEED_MAX, GeneratorConfig, GeneratorKind, generate, trial_seed
 from .solver import (
     DEFAULT_SIZE_GUARD,
+    GameAnalysis,
     SaddleSet,
     all_gsps,
+    analyze,
     cross_products,
     enumerate_saddles,
     is_gsp,
@@ -90,7 +92,7 @@ class CheckVerdict:
 
 
 def check_interchangeability(
-    game: ZeroSumGame,
+    subject: ZeroSumGame | GameAnalysis,
     mode: DominanceMode = DominanceMode.WEAK,
     size_guard: int = DEFAULT_SIZE_GUARD,
 ) -> InterchangeabilityVerdict:
@@ -101,7 +103,9 @@ def check_interchangeability(
     these properties; the verdict then documents the counterexample instead
     of asserting.
     """
-    saddles = enumerate_saddles(game, mode, size_guard)
+    analysis = analyze(subject)
+    game = analysis.game
+    saddles = enumerate_saddles(analysis, mode, size_guard)
     violations: list[Violation] = []
     witnesses = []
     members = saddles.saddles
@@ -128,30 +132,32 @@ def check_interchangeability(
 
 
 def check_strict_uniqueness(
-    game: ZeroSumGame, size_guard: int = DEFAULT_SIZE_GUARD
+    subject: ZeroSumGame | GameAnalysis, size_guard: int = DEFAULT_SIZE_GUARD
 ) -> bool:
-    return len(enumerate_saddles(game, DominanceMode.STRICT, size_guard)) == 1
+    return len(enumerate_saddles(subject, DominanceMode.STRICT, size_guard)) == 1
 
 
 def check_confrontation_uniqueness(
-    game: ZeroSumGame, size_guard: int = DEFAULT_SIZE_GUARD
+    subject: ZeroSumGame | GameAnalysis, size_guard: int = DEFAULT_SIZE_GUARD
 ) -> bool:
-    if not game.is_confrontation():
+    analysis = analyze(subject)
+    if not analysis.game.is_confrontation():
         raise GameInputError("uniqueness check requires a confrontation game")
-    return len(enumerate_saddles(game, DominanceMode.WEAK, size_guard)) == 1
+    return len(enumerate_saddles(analysis, DominanceMode.WEAK, size_guard)) == 1
 
 
 def check_distinct_uniqueness(
-    game: ZeroSumGame, size_guard: int = DEFAULT_SIZE_GUARD
+    subject: ZeroSumGame | GameAnalysis, size_guard: int = DEFAULT_SIZE_GUARD
 ) -> bool:
     """With pairwise-distinct payoffs the unique weak saddle is the strict one."""
-    weak = enumerate_saddles(game, DominanceMode.WEAK, size_guard)
-    strict = enumerate_saddles(game, DominanceMode.STRICT, size_guard)
+    analysis = analyze(subject)
+    weak = enumerate_saddles(analysis, DominanceMode.WEAK, size_guard)
+    strict = enumerate_saddles(analysis, DominanceMode.STRICT, size_guard)
     return len(weak) == 1 and weak.saddles == strict.saddles
 
 
 def check_nash_consistency(
-    game: ZeroSumGame, size_guard: int = DEFAULT_SIZE_GUARD
+    subject: ZeroSumGame | GameAnalysis, size_guard: int = DEFAULT_SIZE_GUARD
 ) -> CheckVerdict:
     """Every weak saddle preserves the game value and carries an equilibrium.
 
@@ -159,9 +165,11 @@ def check_nash_consistency(
     exactly, and the subgame equilibrium embedded into the full game must
     still be an equilibrium there.
     """
+    analysis = analyze(subject)
+    game = analysis.game
     value = game_value(game)
     problems = []
-    for saddle in enumerate_saddles(game, DominanceMode.WEAK, size_guard):
+    for saddle in enumerate_saddles(analysis, DominanceMode.WEAK, size_guard):
         pair = nash_equilibrium(game.subgame(saddle))
         if pair.value != value:
             problems.append(
@@ -184,14 +192,16 @@ def _reindex_within(inner: tuple[int, ...], outer: tuple[int, ...]) -> tuple[int
 
 
 def check_subgame_restriction(
-    game: ZeroSumGame, outer: ActionProduct, inner: ActionProduct
+    subject: ZeroSumGame | GameAnalysis, outer: ActionProduct, inner: ActionProduct
 ) -> bool:
     """Does GSP-ness of `inner` transfer between the game and the `outer` subgame?
 
     Requires inner within outer and outer a weak GSP; returns whether
     "inner is a weak GSP of the game" and "inner (reindexed) is a weak GSP
-    of the subgame induced by outer" agree.
+    of the subgame induced by outer" agree. Both sides are decided by the
+    definitional `is_gsp`, never by the grids that picked the products.
     """
+    game = analyze(subject).game
     if not outer.contains(inner):
         raise GameInputError("inner product must lie within the outer product")
     if not is_gsp(game, outer, DominanceMode.WEAK):
@@ -211,6 +221,8 @@ class TrialConfig:
 
     The generator's own seed field is ignored; trial t plays with
     `trial_seed(seed, t)` so trials can run in any order or in parallel.
+    Every check enumerates under DEFAULT_SIZE_GUARD, so a shape over it is
+    refused here, before any game is generated.
     """
 
     trials: int
@@ -221,6 +233,14 @@ class TrialConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise GameInputError("a campaign needs at least one trial")
+        if not 0 <= self.seed <= SEED_MAX:
+            raise GameInputError("seed must fit in 64 bits")
+        rows, cols = self.generator.rows, self.generator.cols
+        if max(rows, cols) > DEFAULT_SIZE_GUARD:
+            raise CapacityError(
+                f"campaign checks enumerate saddles, guarded at {DEFAULT_SIZE_GUARD} "
+                f"actions per side; generator shape is {rows}x{cols}"
+            )
         normalized = tuple(k for k in _CHECK_ORDER if k in set(self.checks))
         if not normalized:
             raise GameInputError("a campaign needs at least one check")
@@ -300,12 +320,14 @@ class CampaignReport:
         }
 
 
-def _sample_restriction_products(game: ZeroSumGame, campaign_seed: int, trial: int):
+def _sample_restriction_products(
+    subject: ZeroSumGame | GameAnalysis, campaign_seed: int, trial: int
+):
     """Deterministically pick a weak GSP and a nested product for one trial."""
     rng = np.random.Generator(
         np.random.PCG64(np.random.SeedSequence(campaign_seed, spawn_key=(trial, 1)))
     )
-    gsps = all_gsps(game, DominanceMode.WEAK)
+    gsps = all_gsps(subject, DominanceMode.WEAK)
     outer = gsps[int(rng.integers(len(gsps)))]
     row_mask = int(rng.integers(1, 1 << len(outer.row_set)))
     col_mask = int(rng.integers(1, 1 << len(outer.col_set)))
@@ -317,24 +339,24 @@ def _sample_restriction_products(game: ZeroSumGame, campaign_seed: int, trial: i
 
 
 def _run_one_check(
-    check: CheckKind, game: ZeroSumGame, config: TrialConfig, trial: int
+    check: CheckKind, analysis: GameAnalysis, config: TrialConfig, trial: int
 ) -> tuple[bool, str]:
     if check is CheckKind.INTERCHANGEABILITY:
-        verdict = check_interchangeability(game)
+        verdict = check_interchangeability(analysis)
         detail = "; ".join(v.describe() for v in verdict.violations)
         return verdict.ok, detail
     if check is CheckKind.STRICT_UNIQUE:
-        ok = check_strict_uniqueness(game)
+        ok = check_strict_uniqueness(analysis)
         return ok, "" if ok else "strict saddle not unique"
     if check is CheckKind.CONFRONTATION_UNIQUE:
-        ok = check_confrontation_uniqueness(game)
+        ok = check_confrontation_uniqueness(analysis)
         return ok, "" if ok else "weak saddle not unique in confrontation game"
     if check is CheckKind.DISTINCT_UNIQUE:
-        ok = check_distinct_uniqueness(game)
+        ok = check_distinct_uniqueness(analysis)
         return ok, "" if ok else "weak/strict saddles differ on distinct payoffs"
     if check is CheckKind.SUBGAME_RESTRICTION:
-        outer, inner = _sample_restriction_products(game, config.seed, trial)
-        ok = check_subgame_restriction(game, outer, inner)
+        outer, inner = _sample_restriction_products(analysis, config.seed, trial)
+        ok = check_subgame_restriction(analysis, outer, inner)
         detail = (
             ""
             if ok
@@ -342,40 +364,54 @@ def _run_one_check(
             f"{outer.row_set}x{outer.col_set}, inner {inner.row_set}x{inner.col_set}"
         )
         return ok, detail
-    verdict = check_nash_consistency(game)
+    verdict = check_nash_consistency(analysis)
     return verdict.ok, "; ".join(verdict.violations)
 
 
 def _run_trial(args) -> tuple[int, list[tuple[str, bool, str]]]:
+    # One analysis per trial: its checks share the tables and each mode's
+    # grids, which go when the trial ends.
     config, trial = args
     seed = trial_seed(config.seed, trial)
-    game = generate(replace(config.generator, seed=seed))
+    analysis = GameAnalysis(generate(replace(config.generator, seed=seed)))
     results = []
     for check in config.checks:
-        ok, detail = _run_one_check(check, game, config, trial)
+        ok, detail = _run_one_check(check, analysis, config, trial)
         results.append((check.value, ok, detail))
     return trial, results
 
 
-def run_trials(config: TrialConfig, jobs: int = 1) -> CampaignReport:
-    """Run the campaign; the report does not depend on `jobs`."""
-    start = time.perf_counter()
-    work = [(config, t) for t in range(config.trials)]
+# Trials per task handed to a pool worker. A bounded chunk keeps the results
+# in flight, and so memory, independent of the trial count.
+_MAX_CHUNK = 64
+
+
+def _finished_trials(config: TrialConfig, jobs: int):
+    """(trial, results) of every trial in trial order, one at a time."""
+    work = ((config, t) for t in range(config.trials))
     if jobs > 1 and config.trials > 1:
         # Imported here: a serial run, and every other command, never pays
         # for it.
         import multiprocessing
 
+        chunk = max(1, min(_MAX_CHUNK, config.trials // (4 * jobs)))
         with multiprocessing.Pool(jobs) as pool:
-            raw = pool.map(_run_trial, work, chunksize=max(1, config.trials // (4 * jobs)))
+            yield from pool.imap(_run_trial, work, chunksize=chunk)
     else:
-        raw = [_run_trial(item) for item in work]
-    raw.sort(key=lambda item: item[0])
+        yield from map(_run_trial, work)
 
+
+def run_trials(config: TrialConfig, jobs: int = 1) -> CampaignReport:
+    """Run the campaign; the report does not depend on `jobs`.
+
+    Trials are tallied as they finish, in trial order, so memory does not
+    grow with the trial count and the first failure is the serial one.
+    """
+    start = time.perf_counter()
     passed = {check: 0 for check in config.checks}
     failed = {check: 0 for check in config.checks}
     first_failure: dict[CheckKind, FailureWitness] = {}
-    for trial, results in raw:
+    for trial, results in _finished_trials(config, jobs):
         for token, ok, detail in results:
             check = CheckKind(token)
             if ok:

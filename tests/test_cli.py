@@ -278,6 +278,46 @@ def test_verify_bad_check_token(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--bound", "100000000000000000000", "entry bound must be in"),
+        ("--bound", str(2**62), "entry bound must be in"),
+        ("--seed", "-1", "seed must fit in 64 bits"),
+        ("--seed", str(2**64), "seed must fit in 64 bits"),
+    ],
+)
+def test_verify_out_of_range_bound_or_seed_exits_2(capsys, flag, value, message):
+    # Both used to reach numpy and end in a ValueError traceback.
+    argv = {"--trials": "1", "--rows": "3", "--cols": "3", "--gen": "uniform", "--seed": "1"}
+    argv[flag] = value
+    code = main(["verify", *(token for pair in argv.items() for token in pair)])
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_verify_largest_bound_runs(capsys):
+    code, out = run(
+        capsys,
+        "verify", "--trials", "3", "--rows", "3", "--cols", "3",
+        "--gen", "uniform", "--bound", str(2**62 - 1), "--seed", "1",
+    )
+    assert code == 0 and "all checks passed" in out
+
+
+def test_verify_refuses_shape_over_guard_before_generating(capsys, monkeypatch):
+    def never(config):
+        raise AssertionError("a game was generated")
+
+    monkeypatch.setattr("saddles.verify.generate", never)
+    code = main(
+        ["verify", "--trials", "1", "--rows", "1000", "--cols", "1000",
+         "--gen", "uniform", "--seed", "1", "--checks", "strict_unique"]
+    )
+    assert code == 2
+    assert "guarded at 12 actions per side" in capsys.readouterr().err
+
+
 def test_emit_empty_document_has_empty_arrays():
     doc = json.loads(emit_result(ResultDocument(), "json"))
     assert doc["saddles"] == []

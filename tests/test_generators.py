@@ -49,6 +49,16 @@ def test_tournament_entries_are_unit():
     )
 
 
+def test_largest_bound_generates_every_kind():
+    # 2*bound + 1 must fit numpy's int64 for every generator.
+    top = 2**62 - 1
+    for kind in GeneratorKind:
+        game = generate(GeneratorConfig(kind, 3, 3, top, 4))
+        assert all(abs(v) <= top for row in game.entries for v in row)
+    with pytest.raises(GameInputError, match="entry bound"):
+        GeneratorConfig(GeneratorKind.UNIFORM_INT, 3, 3, top + 1, 0)
+
+
 def test_square_requirement():
     with pytest.raises(GameInputError):
         GeneratorConfig(GeneratorKind.CONFRONTATION, 3, 4, 2, 0)

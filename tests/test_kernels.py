@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from oracles import brute_is_gsp, brute_saddles
 from saddles import (
     CapacityError,
+    DominanceMode,
+    GameAnalysis,
     GeneratorConfig,
     GeneratorKind,
     generate,
@@ -59,8 +61,12 @@ def _dense(words, rows, cols):
     return bits[: 1 << (rows + cols)].astype(bool).reshape(1 << rows, 1 << cols)
 
 
+def packed_grids(game, mode):
+    return kernels.saddle_grids(game, mode, dominance_mask_tables(game))
+
+
 def saddle_grids(game, mode):
-    gsp, minimal = kernels.saddle_grids(game, mode)
+    gsp, minimal = packed_grids(game, mode)
     return _dense(gsp, game.rows, game.cols), _dense(minimal, game.rows, game.cols)
 
 
@@ -146,7 +152,7 @@ def test_word_boundary_sizes(rows, cols, mode):
     cells = 1 << (rows + cols)
     for seed in range(3):
         game = generate(GeneratorConfig(GeneratorKind.UNIFORM_INT, rows, cols, 1, seed))
-        packed = kernels.saddle_grids(game, mode)
+        packed = packed_grids(game, mode)
         for words in packed:
             assert words.dtype == np.uint64 and words.ndim == 1
             assert len(words) == max(1, cells // 64)
@@ -184,11 +190,11 @@ def test_lopsided_games_marked_in_chunks(rows, cols):
         assert set((col_masks if cols == 1 else row_masks).tolist()) == {1}
         return (row_masks if cols == 1 else col_masks).tolist()
 
-    gsp, minimal = kernels.saddle_grids(game, MODE_WEAK)
+    gsp, minimal = packed_grids(game, MODE_WEAK)
     assert len(long_masks(gsp)) == 2**16 - 2 ** (16 - len(best))
     assert long_masks(minimal) == [1 << i for i in best]
     for mode in (MODE_STRICT, MODE_WEAK_STRICT):
-        _, minimal = kernels.saddle_grids(game, mode)
+        _, minimal = packed_grids(game, mode)
         assert long_masks(minimal) == [sum(1 << i for i in best)]
 
 
@@ -196,19 +202,32 @@ def test_grid_budget_checked_before_allocation(monkeypatch):
     class Reached(Exception):
         pass
 
-    def tables(game):
-        raise Reached  # the first thing saddle_grids builds
+    def unreachable(*args):
+        raise Reached
 
-    monkeypatch.setattr(kernels, "dominance_mask_tables", tables)
+    # The GSP grid is the first grid memory saddle_grids allocates.
+    monkeypatch.setattr(kernels, "_gsp_grid", unreachable)
     limit = MAX_GRID_BITS.bit_length() - 1
     # The unpacked grids took about ten bytes per product, so none past
     # 14x14 (2.7 GB) fitted in memory; 15x15 is within the budget.
-    for rows, cols in ((15, 15), (limit - 1, 1)):
+    within = ((15, 15), (limit - 1, 1))
+    over = ((limit, 1), (20, 20), (1, 62))
+    for rows, cols in within:
+        game = new_game(rows, cols, [0] * (rows * cols))
         with pytest.raises(Reached):
-            kernels.saddle_grids(new_game(rows, cols, [0] * (rows * cols)), MODE_WEAK)
-    for rows, cols in ((limit, 1), (20, 20), (1, 62)):
+            kernels.saddle_grids(game, MODE_WEAK, dominance_mask_tables(game))
+    for rows, cols in over:
+        game = new_game(rows, cols, [0] * (rows * cols))
         with pytest.raises(CapacityError, match=f"2\\^{rows + cols} bits"):
-            kernels.saddle_grids(new_game(rows, cols, [0] * (rows * cols)), MODE_WEAK)
+            kernels.saddle_grids(game, MODE_WEAK, dominance_mask_tables(game))
+    # An analysis checks the budget before it builds the tables as well.
+    monkeypatch.setattr(kernels, "dominance_mask_tables", unreachable)
+    for rows, cols in within:
+        with pytest.raises(Reached):
+            GameAnalysis(new_game(rows, cols, [0] * (rows * cols))).grids(DominanceMode.WEAK)
+    for rows, cols in over:
+        with pytest.raises(CapacityError, match=f"2\\^{rows + cols} bits"):
+            GameAnalysis(new_game(rows, cols, [0] * (rows * cols))).grids(DominanceMode.WEAK)
 
 
 # SHA-256 of packbits(gsp) + packbits(minimal) per mode (weak, strict,

@@ -1,9 +1,11 @@
 import json
+import tracemalloc
 
 import pytest
 
 from saddles import (
     ActionProduct,
+    CapacityError,
     CheckKind,
     DominanceMode,
     GameInputError,
@@ -20,6 +22,7 @@ from saddles import (
     run_trials,
     trial_seed,
 )
+from saddles import verify
 
 
 def test_check_interchangeability_golden(a1, a3):
@@ -143,6 +146,48 @@ def test_trial_config_validation():
         checks=(CheckKind.CONFRONTATION_UNIQUE,),
     )
     assert cfg.checks == (CheckKind.CONFRONTATION_UNIQUE,)
+
+
+def test_trial_config_seed_range():
+    for seed in (-1, 2**64):
+        with pytest.raises(GameInputError, match="seed must fit in 64 bits"):
+            TrialConfig(
+                trials=1,
+                generator=GeneratorConfig(GeneratorKind.UNIFORM_INT, 3, 3, 3, 0),
+                checks=(CheckKind.STRICT_UNIQUE,),
+                seed=seed,
+            )
+    assert _campaign().seed == 90210
+
+
+def test_trial_config_refuses_shape_over_size_guard(monkeypatch):
+    def never(config):
+        raise AssertionError("a game was generated")
+
+    monkeypatch.setattr(verify, "generate", never)
+    for rows, cols in ((13, 3), (3, 13), (1000, 1000)):
+        with pytest.raises(CapacityError, match=f"{rows}x{cols}"):
+            _campaign(rows=rows, cols=cols)
+    assert _campaign(rows=12, cols=12).generator.rows == 12
+
+
+def test_campaign_memory_does_not_grow_with_trials(monkeypatch):
+    # With the trial body stubbed out, what is left is run_trials' own
+    # bookkeeping, which must not hold every work item or result at once.
+    def stub(args):
+        config, trial = args
+        return trial, [(check.value, True, "") for check in config.checks]
+
+    monkeypatch.setattr(verify, "_run_trial", stub)
+    config = _campaign(trials=20_000)
+    tracemalloc.start()
+    try:
+        report = run_trials(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [o.passed for o in report.outcomes] == [20_000, 20_000]
+    assert peak < 64 * 1024, peak
 
 
 def test_checks_normalized_to_canonical_order():
