@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 
 from .dominance import DominanceMode
@@ -19,13 +18,9 @@ from .errors import CapacityError, GameInputError, PropertyViolationError
 from .game import ZeroSumGame, format_rational
 from .gamefile import parse_game
 from .generators import GeneratorConfig, GeneratorKind
+from .kernels import MAX_GRID_BITS
 from .report import ResultDocument, emit_result
-from .solver import (
-    DEFAULT_SIZE_GUARD,
-    enumerate_saddles,
-    find_saddle,
-    strict_saddle,
-)
+from .solver import enumerate_saddles, find_saddle, strict_saddle
 from .verify import CheckKind, TrialConfig, check_interchangeability, run_trials
 
 _GENERATOR_TOKENS = {
@@ -59,7 +54,7 @@ def _emit(doc: ResultDocument, as_json: bool) -> None:
 def _cmd_enumerate(args) -> int:
     game = _read_game(args.file)
     mode = DominanceMode.from_token(args.mode)
-    found = enumerate_saddles(game, mode, args.size_guard)
+    found = enumerate_saddles(game, mode)
     doc = _base_doc(game, mode)
     doc.saddles = tuple((s.row_set, s.col_set) for s in found)
     _emit(doc, args.json)
@@ -78,7 +73,7 @@ def _cmd_find(args) -> int:
 
 def _cmd_strict(args) -> int:
     game = _read_game(args.file)
-    saddle = strict_saddle(game, args.size_guard)
+    saddle = strict_saddle(game)
     doc = _base_doc(game, DominanceMode.STRICT)
     doc.saddles = ((saddle.row_set, saddle.col_set),)
     _emit(doc, args.json)
@@ -109,7 +104,7 @@ def _cmd_nash(args) -> int:
 def _cmd_check(args) -> int:
     game = _read_game(args.file)
     mode = DominanceMode.from_token(args.mode)
-    verdict = check_interchangeability(game, mode, args.size_guard)
+    verdict = check_interchangeability(game, mode)
     doc = _base_doc(game, mode)
     doc.saddles = tuple((s.row_set, s.col_set) for s in verdict.saddles)
     doc.verdicts = {
@@ -158,12 +153,10 @@ def _cmd_verify(args) -> int:
         )
     else:
         checks = _default_checks(kind)
-    if args.jobs < 1:
-        raise GameInputError(f"--jobs must be at least 1, got {args.jobs}")
     config = TrialConfig(
         trials=args.trials, generator=generator, checks=checks, seed=args.seed
     )
-    report = run_trials(config, jobs=min(args.jobs, os.cpu_count() or 1))
+    report = run_trials(config, jobs=args.jobs)
     if args.json:
         print(json.dumps(report.to_json_dict()))
     else:
@@ -196,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_game_command(name, func, help_text, with_mode=True, with_guard=True):
+    def add_game_command(name, func, help_text, with_mode=True):
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("file", help="game file, or '-' for stdin")
         if with_mode:
@@ -206,33 +199,30 @@ def build_parser() -> argparse.ArgumentParser:
                 choices=[m.value for m in DominanceMode],
                 help="dominance relation (default: weak)",
             )
-        if with_guard:
-            cmd.add_argument(
-                "--size-guard",
-                type=int,
-                default=DEFAULT_SIZE_GUARD,
-                help="max actions per side for exhaustive enumeration",
-            )
         cmd.add_argument("--json", action="store_true", help="machine output")
         cmd.set_defaults(func=func)
         return cmd
 
-    add_game_command("enumerate", _cmd_enumerate, "list all saddles")
+    # Commands that enumerate build saddle grids, refused over the grid budget.
+    budget = f"(at most {MAX_GRID_BITS.bit_length() - 1} actions in all)"
+    add_game_command("enumerate", _cmd_enumerate, f"list all saddles {budget}")
     add_game_command(
-        "find", _cmd_find, "find one saddle (no size guard)", with_guard=False
-    )
-    add_game_command("strict", _cmd_strict, "the unique strict saddle", with_mode=False)
-    add_game_command(
-        "value", _cmd_value, "exact game value", with_mode=False, with_guard=False
+        "find", _cmd_find, "find the smallest saddle (builds no grid, so no size limit)"
     )
     add_game_command(
-        "nash", _cmd_nash, "one exact Nash equilibrium", with_mode=False, with_guard=False
+        "strict", _cmd_strict, f"the unique strict saddle {budget}", with_mode=False
     )
+    add_game_command("value", _cmd_value, "exact game value", with_mode=False)
+    add_game_command("nash", _cmd_nash, "one exact Nash equilibrium", with_mode=False)
     add_game_command(
-        "check", _cmd_check, "interchangeability/equivalence verdict for one game"
+        "check",
+        _cmd_check,
+        f"interchangeability/equivalence verdict for one game {budget}",
     )
 
-    verify = sub.add_parser("verify", help="seeded randomized verification campaign")
+    verify = sub.add_parser(
+        "verify", help=f"seeded randomized verification campaign {budget}"
+    )
     verify.add_argument("--trials", type=int, required=True)
     verify.add_argument("--rows", type=int, required=True)
     verify.add_argument("--cols", type=int, required=True)

@@ -6,9 +6,9 @@ class GameInputError(ValueError):
 
 
 class CapacityError(RuntimeError):
-    """A resource budget was exceeded: exhaustive enumeration above the size
-    guard, saddle grids above the cell budget, or an exact result too long
-    to print."""
+    """A resource budget was exceeded: saddle grids above the grid-bit budget
+    (`kernels.MAX_GRID_BITS`), or an exact result too long to print under
+    the integer-string limit."""
 
 
 class PropertyViolationError(RuntimeError):

@@ -183,9 +183,13 @@ def _minimal_grid(gsp, nbits):
 
 def check_grid_budget(rows: int, cols: int) -> None:
     """Raise CapacityError when the grids of a rows x cols game would exceed
-    MAX_GRID_BITS; checked before anything is built for them."""
-    if 1 << (rows + cols) > MAX_GRID_BITS:
-        limit = MAX_GRID_BITS.bit_length() - 1
+    MAX_GRID_BITS; checked before anything is built for them.
+
+    This is the one shape budget of exhaustive enumeration. It compares
+    exponents, so a huge requested shape costs nothing to refuse.
+    """
+    limit = MAX_GRID_BITS.bit_length() - 1
+    if rows + cols > limit:
         raise CapacityError(
             f"saddle grids of a {rows}x{cols} game need 2^{rows + cols} bits each, "
             f"over the budget of 2^{limit} bits (at most {limit} actions in all)"
@@ -201,7 +205,7 @@ def saddle_grids(game: ZeroSumGame, mode_code: int, tables):
     ``gsp`` marks the generalized saddle points, ``minimal`` the
     inclusion-minimal ones (the saddles). Each grid takes 2^(rows+cols) bits,
     at least one word; a grid over MAX_GRID_BITS raises CapacityError before
-    anything is allocated. Callers enforce their own size guards.
+    anything is allocated.
     """
     n, m = game.rows, game.cols
     check_grid_budget(n, m)

@@ -3,9 +3,10 @@
 A product R' x C' is a generalized saddle point (GSP) when R' dominates all
 outside rows w.r.t. C' and C' dominates all outside columns w.r.t. R'. A
 saddle is an inclusion-minimal GSP. `enumerate_saddles` finds them all by
-exhaustive scan (guarded, exponential); `find_saddle` returns one and also
-works past the guard. A `GameAnalysis` holds one game's tables and grids,
-so several questions about the same game share one build of each.
+exhaustive scan (exponential, within the grid budget of
+`kernels.check_grid_budget`); `find_saddle` returns one and needs no grid.
+A `GameAnalysis` holds one game's tables and grids, so several questions
+about the same game share one build of each.
 """
 
 from __future__ import annotations
@@ -21,10 +22,8 @@ from .dominance import (
     set_dominates_rows,
     _dominated_by_rival,
 )
-from .errors import CapacityError, GameInputError, PropertyViolationError
+from .errors import GameInputError, PropertyViolationError
 from .game import ActionProduct, ZeroSumGame
-
-DEFAULT_SIZE_GUARD = 12
 
 
 @dataclass(frozen=True)
@@ -89,9 +88,11 @@ class GameAnalysis:
 
     The mask tables are built on the first grid request and the (gsp,
     minimal) grids of each dominance mode on the first request for that
-    mode. Every function that takes a game also takes its analysis, so the
-    checks of one campaign trial share it; nothing is cached beyond the
-    analysis itself, which lives as long as its caller keeps it.
+    mode. `enumerate_saddles`, `all_gsps`, `strict_saddle` and the `verify`
+    checks take a game or its analysis, so the checks of one campaign trial
+    share it; `find_saddle`, `is_gsp` and `iterated_elimination` take only a
+    game. Nothing is cached beyond the analysis itself, which lives as long
+    as its caller keeps it.
     """
 
     game: ZeroSumGame
@@ -118,52 +119,37 @@ def analyze(subject: ZeroSumGame | GameAnalysis) -> GameAnalysis:
     return subject if isinstance(subject, GameAnalysis) else GameAnalysis(subject)
 
 
-def _check_guard(game: ZeroSumGame, size_guard: int) -> None:
-    if game.rows > size_guard or game.cols > size_guard:
-        raise CapacityError(
-            f"exhaustive enumeration guarded at {size_guard} actions per side; "
-            f"game is {game.rows}x{game.cols} (pass a larger size_guard to override)"
-        )
-
-
 def enumerate_saddles(
-    subject: ZeroSumGame | GameAnalysis,
-    mode: DominanceMode,
-    size_guard: int = DEFAULT_SIZE_GUARD,
+    subject: ZeroSumGame | GameAnalysis, mode: DominanceMode
 ) -> SaddleSet:
     """All saddles of the game under `mode`, lexicographically sorted.
 
     Scans every nonempty product of action subsets, so the cost is
-    2^(rows+cols) dominance-mask tests; the guard keeps that honest.
+    2^(rows+cols) dominance-mask tests; a game over the grid budget raises
+    CapacityError before anything is built.
     """
     analysis = analyze(subject)
-    _check_guard(analysis.game, size_guard)
     _, minimal = analysis.grids(mode)
     return SaddleSet(mode=mode, saddles=_grid_products(minimal, analysis.game))
 
 
 def all_gsps(
-    subject: ZeroSumGame | GameAnalysis,
-    mode: DominanceMode,
-    size_guard: int = DEFAULT_SIZE_GUARD,
+    subject: ZeroSumGame | GameAnalysis, mode: DominanceMode
 ) -> tuple[ActionProduct, ...]:
     """Every GSP (not just the minimal ones), lexicographically sorted."""
     analysis = analyze(subject)
-    _check_guard(analysis.game, size_guard)
     gsp, _ = analysis.grids(mode)
     return _grid_products(gsp, analysis.game)
 
 
-def strict_saddle(
-    subject: ZeroSumGame | GameAnalysis, size_guard: int = DEFAULT_SIZE_GUARD
-) -> ActionProduct:
+def strict_saddle(subject: ZeroSumGame | GameAnalysis) -> ActionProduct:
     """The unique minimal strict GSP.
 
     Uniqueness holds for every zero-sum game; a count other than one is
     reported as a PropertyViolationError, never ignored.
     """
     analysis = analyze(subject)
-    found = enumerate_saddles(analysis, DominanceMode.STRICT, size_guard)
+    found = enumerate_saddles(analysis, DominanceMode.STRICT)
     if len(found) != 1:
         raise PropertyViolationError(
             f"expected exactly one strict saddle, found {len(found)} "
@@ -210,8 +196,8 @@ def find_saddle(game: ZeroSumGame, mode: DominanceMode) -> ActionProduct:
     Products are scanned in that order and the first GSP is returned. Every
     proper subproduct of it comes earlier in the order and is not a GSP, so
     it is inclusion-minimal. The full product is always a GSP, so the scan
-    ends. No size guard: the scan is output-sensitive but exponential in the
-    worst case.
+    ends. It builds no grid, so the grid budget does not apply: the scan is
+    output-sensitive but exponential in the worst case.
     """
     tables = kernels.dominance_mask_tables(game)
     n, m = game.rows, game.cols

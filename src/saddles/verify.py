@@ -14,6 +14,7 @@ trial is a falsification, not noise.
 from __future__ import annotations
 
 import enum
+import os
 import time
 from dataclasses import dataclass, replace
 
@@ -21,11 +22,11 @@ import numpy as np
 
 from .dominance import DominanceMode
 from .equilibrium import embed_strategy, game_value, is_nash, nash_equilibrium
-from .errors import CapacityError, GameInputError
+from .errors import GameInputError
 from .game import ActionProduct, ZeroSumGame
 from .generators import SEED_MAX, GeneratorConfig, GeneratorKind, generate, trial_seed
+from .kernels import check_grid_budget
 from .solver import (
-    DEFAULT_SIZE_GUARD,
     GameAnalysis,
     SaddleSet,
     all_gsps,
@@ -94,7 +95,6 @@ class CheckVerdict:
 def check_interchangeability(
     subject: ZeroSumGame | GameAnalysis,
     mode: DominanceMode = DominanceMode.WEAK,
-    size_guard: int = DEFAULT_SIZE_GUARD,
 ) -> InterchangeabilityVerdict:
     """Interchangeability and permutation equivalence over all saddle pairs.
 
@@ -105,7 +105,7 @@ def check_interchangeability(
     """
     analysis = analyze(subject)
     game = analysis.game
-    saddles = enumerate_saddles(analysis, mode, size_guard)
+    saddles = enumerate_saddles(analysis, mode)
     violations: list[Violation] = []
     witnesses = []
     members = saddles.saddles
@@ -131,34 +131,26 @@ def check_interchangeability(
     )
 
 
-def check_strict_uniqueness(
-    subject: ZeroSumGame | GameAnalysis, size_guard: int = DEFAULT_SIZE_GUARD
-) -> bool:
-    return len(enumerate_saddles(subject, DominanceMode.STRICT, size_guard)) == 1
+def check_strict_uniqueness(subject: ZeroSumGame | GameAnalysis) -> bool:
+    return len(enumerate_saddles(subject, DominanceMode.STRICT)) == 1
 
 
-def check_confrontation_uniqueness(
-    subject: ZeroSumGame | GameAnalysis, size_guard: int = DEFAULT_SIZE_GUARD
-) -> bool:
+def check_confrontation_uniqueness(subject: ZeroSumGame | GameAnalysis) -> bool:
     analysis = analyze(subject)
     if not analysis.game.is_confrontation():
         raise GameInputError("uniqueness check requires a confrontation game")
-    return len(enumerate_saddles(analysis, DominanceMode.WEAK, size_guard)) == 1
+    return len(enumerate_saddles(analysis, DominanceMode.WEAK)) == 1
 
 
-def check_distinct_uniqueness(
-    subject: ZeroSumGame | GameAnalysis, size_guard: int = DEFAULT_SIZE_GUARD
-) -> bool:
+def check_distinct_uniqueness(subject: ZeroSumGame | GameAnalysis) -> bool:
     """With pairwise-distinct payoffs the unique weak saddle is the strict one."""
     analysis = analyze(subject)
-    weak = enumerate_saddles(analysis, DominanceMode.WEAK, size_guard)
-    strict = enumerate_saddles(analysis, DominanceMode.STRICT, size_guard)
+    weak = enumerate_saddles(analysis, DominanceMode.WEAK)
+    strict = enumerate_saddles(analysis, DominanceMode.STRICT)
     return len(weak) == 1 and weak.saddles == strict.saddles
 
 
-def check_nash_consistency(
-    subject: ZeroSumGame | GameAnalysis, size_guard: int = DEFAULT_SIZE_GUARD
-) -> CheckVerdict:
+def check_nash_consistency(subject: ZeroSumGame | GameAnalysis) -> CheckVerdict:
     """Every weak saddle preserves the game value and carries an equilibrium.
 
     For each saddle: the subgame's LP value must equal the full game's value
@@ -169,7 +161,7 @@ def check_nash_consistency(
     game = analysis.game
     value = game_value(game)
     problems = []
-    for saddle in enumerate_saddles(analysis, DominanceMode.WEAK, size_guard):
+    for saddle in enumerate_saddles(analysis, DominanceMode.WEAK):
         pair = nash_equilibrium(game.subgame(saddle))
         if pair.value != value:
             problems.append(
@@ -221,7 +213,7 @@ class TrialConfig:
 
     The generator's own seed field is ignored; trial t plays with
     `trial_seed(seed, t)` so trials can run in any order or in parallel.
-    Every check enumerates under DEFAULT_SIZE_GUARD, so a shape over it is
+    Every check builds saddle grids, so a shape over the grid budget is
     refused here, before any game is generated.
     """
 
@@ -235,12 +227,7 @@ class TrialConfig:
             raise GameInputError("a campaign needs at least one trial")
         if not 0 <= self.seed <= SEED_MAX:
             raise GameInputError("seed must fit in 64 bits")
-        rows, cols = self.generator.rows, self.generator.cols
-        if max(rows, cols) > DEFAULT_SIZE_GUARD:
-            raise CapacityError(
-                f"campaign checks enumerate saddles, guarded at {DEFAULT_SIZE_GUARD} "
-                f"actions per side; generator shape is {rows}x{cols}"
-            )
+        check_grid_budget(self.generator.rows, self.generator.cols)
         normalized = tuple(k for k in _CHECK_ORDER if k in set(self.checks))
         if not normalized:
             raise GameInputError("a campaign needs at least one check")
@@ -404,9 +391,13 @@ def _finished_trials(config: TrialConfig, jobs: int):
 def run_trials(config: TrialConfig, jobs: int = 1) -> CampaignReport:
     """Run the campaign; the report does not depend on `jobs`.
 
-    Trials are tallied as they finish, in trial order, so memory does not
-    grow with the trial count and the first failure is the serial one.
+    `jobs` below 1 raises GameInputError; above the CPU count it is capped
+    there. Trials are tallied as they finish, in trial order, so memory does
+    not grow with the trial count and the first failure is the serial one.
     """
+    if jobs < 1:
+        raise GameInputError(f"--jobs must be at least 1, got {jobs}")
+    jobs = min(jobs, os.cpu_count() or 1)
     start = time.perf_counter()
     passed = {check: 0 for check in config.checks}
     failed = {check: 0 for check in config.checks}

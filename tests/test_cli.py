@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from saddles import kernels
 from saddles.cli import build_parser, main
 from saddles.report import ResultDocument, emit_result
 
@@ -117,23 +118,53 @@ def test_missing_file_exit_code(capsys):
     assert main(["value", "/nonexistent/path.game"]) == 2
 
 
+def _game_file(tmp_path, rows, cols, entry):
+    path = tmp_path / f"{rows}x{cols}.game"
+    body = "\n".join(
+        " ".join(str(entry(r, c)) for c in range(cols)) for r in range(rows)
+    )
+    path.write_text(f"{rows} {cols}\n{body}\n")
+    return str(path)
+
+
 def test_capacity_error_exit_code(capsys, tmp_path):
-    path = tmp_path / "big.game"
-    rows = 13
-    body = "\n".join(" ".join("1" for _ in range(2)) for _ in range(rows))
-    path.write_text(f"{rows} 2\n{body}\n")
-    assert main(["enumerate", str(path)]) == 2
-    assert main(["enumerate", str(path), "--size-guard", "13"]) == 0
-    capsys.readouterr()
+    # The only shape budget is the grid's: 13 rows are fine, 31 actions are not.
+    assert main(["enumerate", _game_file(tmp_path, 13, 2, lambda r, c: 1)]) == 0
+    assert main(["enumerate", _game_file(tmp_path, 29, 2, lambda r, c: 1)]) == 2
+    assert "2^31 bits" in capsys.readouterr().err
 
 
-def test_grid_budget_exit_code(capsys, tmp_path):
-    # 2^40 products: refused before any grid is allocated, not a traceback.
-    path = tmp_path / "wide.game"
-    body = "\n".join(" ".join(str((r * c) % 7 - 3) for c in range(20)) for r in range(20))
-    path.write_text(f"20 20\n{body}\n")
-    assert main(["enumerate", str(path), "--size-guard", "20"]) == 2
-    assert "2^40 bits" in capsys.readouterr().err
+def _unreachable(*args):
+    raise AssertionError("a grid was built")
+
+
+@pytest.mark.parametrize(
+    "command, rows, cols",
+    [
+        ("enumerate", 16, 15),
+        ("strict", 16, 15),
+        ("check", 16, 15),
+        ("verify", 16, 15),
+        ("enumerate", 13, 13),
+    ],
+)
+def test_grid_budget_exit_code(capsys, monkeypatch, tmp_path, command, rows, cols):
+    # Over 2^30 products every enumerating command exits 2 before any grid is
+    # built, not with a traceback; 2^26 enumerates without any flag.
+    over = rows + cols > 30
+    if over:
+        monkeypatch.setattr(kernels, "_gsp_grid", _unreachable)
+    if command == "verify":
+        argv = ["verify", "--trials", "1", "--rows", str(rows), "--cols", str(cols),
+                "--gen", "uniform", "--seed", "1"]
+    else:
+        argv = [command, _game_file(tmp_path, rows, cols, lambda r, c: (r * c) % 7 - 3)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    if over:
+        assert code == 2 and f"2^{rows + cols} bits" in captured.err
+    else:
+        assert code == 0 and "saddles (" in captured.out
 
 
 def test_memory_error_exit_code(capsys, monkeypatch, a1_file):
@@ -194,7 +225,7 @@ def test_parser_is_built_once_and_reused(capsys, a1_file, a2_file):
         ("value", a2_file),
         ("find", a2_file, "--mode", "strict"),
         ("check", a1_file, "--json"),
-        ("strict", a2_file, "--size-guard", "5"),
+        ("strict", a2_file),
         ("enumerate", a1_file, "--mode", "nonsense"),
         ("value",),
         ("verify", "--trials", "2", "--rows", "3", "--cols", "3", "--gen", "uniform",
@@ -315,7 +346,7 @@ def test_verify_refuses_shape_over_guard_before_generating(capsys, monkeypatch):
          "--gen", "uniform", "--seed", "1", "--checks", "strict_unique"]
     )
     assert code == 2
-    assert "guarded at 12 actions per side" in capsys.readouterr().err
+    assert "2^2000 bits" in capsys.readouterr().err
 
 
 def test_emit_empty_document_has_empty_arrays():

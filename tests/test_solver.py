@@ -79,11 +79,18 @@ def test_is_gsp_examples(a1, a2):
 
 
 def test_capacity_guard():
+    # The grid budget is the only shape limit: 13 rows enumerate, 31 actions
+    # are refused before the tables are built.
     g = generate(GeneratorConfig(GeneratorKind.UNIFORM_INT, 13, 4, 3, 0))
-    with pytest.raises(CapacityError):
-        enumerate_saddles(g, WEAK)
-    # caller may override
-    assert len(enumerate_saddles(g, STRICT, size_guard=13)) == 1
+    assert len(enumerate_saddles(g, STRICT)) == 1
+    over = generate(GeneratorConfig(GeneratorKind.UNIFORM_INT, 16, 15, 3, 0))
+    for call in (
+        lambda: enumerate_saddles(over, WEAK),
+        lambda: all_gsps(over, WEAK),
+        lambda: strict_saddle(over),
+    ):
+        with pytest.raises(CapacityError, match="2\\^31 bits"):
+            call()
 
 
 # --- find_saddle ----------------------------------------------------------
@@ -120,7 +127,7 @@ def test_find_saddle_is_smallest_gsp():
 
 
 def test_find_saddle_beyond_guard():
-    # 14 columns exceeds the enumeration guard; find_saddle still works.
+    # find_saddle builds no grid, so no grid budget applies to it.
     g = generate(GeneratorConfig(GeneratorKind.UNIFORM_INT, 4, 14, 3, 5))
     saddle = find_saddle(g, WEAK)
     assert is_gsp(g, saddle, WEAK)

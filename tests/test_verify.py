@@ -1,4 +1,6 @@
 import json
+import multiprocessing
+import os
 import tracemalloc
 
 import pytest
@@ -160,15 +162,46 @@ def test_trial_config_seed_range():
     assert _campaign().seed == 90210
 
 
-def test_trial_config_refuses_shape_over_size_guard(monkeypatch):
+def test_trial_config_refuses_shape_over_grid_budget(monkeypatch):
     def never(config):
         raise AssertionError("a game was generated")
 
     monkeypatch.setattr(verify, "generate", never)
-    for rows, cols in ((13, 3), (3, 13), (1000, 1000)):
+    for rows, cols in ((16, 15), (1000, 1000), (10**18, 1)):
         with pytest.raises(CapacityError, match=f"{rows}x{cols}"):
             _campaign(rows=rows, cols=cols)
-    assert _campaign(rows=12, cols=12).generator.rows == 12
+    for rows, cols in ((13, 3), (3, 13), (12, 12)):
+        assert _campaign(rows=rows, cols=cols).generator.rows == rows
+
+
+def test_run_trials_owns_the_jobs_policy(monkeypatch):
+    # A fake pool records its size and runs the work serially: no process starts.
+    requested = []
+
+    class SerialPool:
+        def __init__(self, processes):
+            requested.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, func, iterable, chunksize=1):
+            return map(func, iterable)
+
+    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    config = _campaign(trials=4)
+    with pytest.raises(GameInputError, match="--jobs must be at least 1"):
+        run_trials(config, jobs=0)
+    serial = run_trials(config).to_json_dict()
+    capped = run_trials(config, jobs=64).to_json_dict()
+    assert requested == [3]
+    serial.pop("duration_seconds")
+    capped.pop("duration_seconds")
+    assert capped == serial
 
 
 def test_campaign_memory_does_not_grow_with_trials(monkeypatch):
