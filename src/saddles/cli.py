@@ -21,93 +21,60 @@ from .generators import GeneratorConfig, GeneratorKind
 from .kernels import MAX_GRID_BITS
 from .report import ResultDocument, emit_result
 from .solver import enumerate_saddles, find_saddle, strict_saddle
-from .verify import CheckKind, TrialConfig, check_interchangeability, run_trials
-
-_GENERATOR_TOKENS = {
-    "uniform": GeneratorKind.UNIFORM_INT,
-    "distinct": GeneratorKind.DISTINCT_INT,
-    "confrontation": GeneratorKind.CONFRONTATION,
-    "tournament": GeneratorKind.TOURNAMENT,
-}
+from .verify import (
+    DEFAULT_CHECKS,
+    CheckKind,
+    TrialConfig,
+    check_interchangeability,
+    run_trials,
+)
 
 
 def _read_game(path: str) -> ZeroSumGame:
-    if path == "-":
-        return parse_game(sys.stdin.read())
-    with open(path, "r", encoding="utf-8") as handle:
-        return parse_game(handle.read())
+    try:
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, "r", encoding="utf-8") as handle:
+                text = handle.read()
+    except UnicodeDecodeError as exc:
+        where = "stdin" if path == "-" else path
+        raise GameInputError(f"{where}: not UTF-8 at byte offset {exc.start}") from None
+    return parse_game(text)
 
 
-def _base_doc(game: ZeroSumGame, mode: DominanceMode | None = None) -> ResultDocument:
-    return ResultDocument(
-        game_digest=game.digest(),
-        mode=mode.value if mode else "",
-        row_labels=game.row_labels,
-        col_labels=game.col_labels,
-    )
+def _saddles(products) -> tuple:
+    return tuple((s.row_set, s.col_set) for s in products)
 
 
-def _emit(doc: ResultDocument, as_json: bool) -> None:
-    print(emit_result(doc, "json" if as_json else "text"))
+def _enumerate(game, mode):
+    return {"saddles": _saddles(enumerate_saddles(game, mode))}, 0
 
 
-def _cmd_enumerate(args) -> int:
-    game = _read_game(args.file)
-    mode = DominanceMode.from_token(args.mode)
-    found = enumerate_saddles(game, mode)
-    doc = _base_doc(game, mode)
-    doc.saddles = tuple((s.row_set, s.col_set) for s in found)
-    _emit(doc, args.json)
-    return 0
+def _find(game, mode):
+    return {"saddles": _saddles([find_saddle(game, mode)])}, 0
 
 
-def _cmd_find(args) -> int:
-    game = _read_game(args.file)
-    mode = DominanceMode.from_token(args.mode)
-    saddle = find_saddle(game, mode)
-    doc = _base_doc(game, mode)
-    doc.saddles = ((saddle.row_set, saddle.col_set),)
-    _emit(doc, args.json)
-    return 0
+def _strict(game, mode):
+    return {"saddles": _saddles([strict_saddle(game)])}, 0
 
 
-def _cmd_strict(args) -> int:
-    game = _read_game(args.file)
-    saddle = strict_saddle(game)
-    doc = _base_doc(game, DominanceMode.STRICT)
-    doc.saddles = ((saddle.row_set, saddle.col_set),)
-    _emit(doc, args.json)
-    return 0
+def _value(game, mode):
+    return {"value": format_rational(game_value(game))}, 0
 
 
-def _cmd_value(args) -> int:
-    game = _read_game(args.file)
-    doc = _base_doc(game)
-    doc.value = format_rational(game_value(game))
-    _emit(doc, args.json)
-    return 0
-
-
-def _cmd_nash(args) -> int:
-    game = _read_game(args.file)
+def _nash(game, mode):
     pair = nash_equilibrium(game)
-    doc = _base_doc(game)
-    doc.value = format_rational(pair.value)
-    doc.strategies = {
+    strategies = {
         "row": [format_rational(p) for p in pair.row_strategy],
         "col": [format_rational(p) for p in pair.col_strategy],
     }
-    _emit(doc, args.json)
-    return 0
+    return {"value": format_rational(pair.value), "strategies": strategies}, 0
 
 
-def _cmd_check(args) -> int:
-    game = _read_game(args.file)
-    mode = DominanceMode.from_token(args.mode)
+def _check(game, mode):
     verdict = check_interchangeability(game, mode)
-    doc = _base_doc(game, mode)
-    doc.saddles = tuple((s.row_set, s.col_set) for s in verdict.saddles)
-    doc.verdicts = {
+    verdicts = {
         "interchangeability": verdict.interchange_ok,
         "equivalence": verdict.equivalence_ok,
         "violations": [v.describe() for v in verdict.violations],
@@ -123,25 +90,32 @@ def _cmd_check(args) -> int:
             for s1, s2, w in verdict.witnesses
         ],
     }
-    _emit(doc, args.json)
-    return 0 if verdict.ok else 1
+    fields = {"saddles": _saddles(verdict.saddles), "verdicts": verdicts}
+    return fields, 0 if verdict.ok else 1
 
 
-def _default_checks(kind: GeneratorKind) -> tuple[CheckKind, ...]:
-    if kind in (GeneratorKind.CONFRONTATION, GeneratorKind.TOURNAMENT):
-        return (CheckKind.CONFRONTATION_UNIQUE,)
-    checks = [CheckKind.INTERCHANGEABILITY, CheckKind.STRICT_UNIQUE]
-    if kind is GeneratorKind.DISTINCT_INT:
-        checks.append(CheckKind.DISTINCT_UNIQUE)
-    return tuple(checks)
+def _cmd_game(args) -> int:
+    """Every command on one game file: read it, answer, print one document.
+
+    `args.answer` is the command's answer function, (game, mode) -> (the
+    fields it adds to the ResultDocument, exit code); `mode` is None for
+    `value` and `nash`.
+    """
+    game = _read_game(args.file)
+    fields, code = args.answer(game, DominanceMode(args.mode) if args.mode else None)
+    doc = ResultDocument(
+        game_digest=game.digest(),
+        mode=args.mode,
+        row_labels=game.row_labels,
+        col_labels=game.col_labels,
+        **fields,
+    )
+    print(emit_result(doc, "json" if args.json else "text"))
+    return code
 
 
 def _cmd_verify(args) -> int:
-    kind = _GENERATOR_TOKENS.get(args.gen)
-    if kind is None:
-        raise GameInputError(
-            f"unknown generator {args.gen!r}; expected one of {sorted(_GENERATOR_TOKENS)}"
-        )
+    kind = GeneratorKind(args.gen)
     generator = GeneratorConfig(
         kind=kind, rows=args.rows, cols=args.cols, bound=args.bound, seed=0
     )
@@ -152,7 +126,7 @@ def _cmd_verify(args) -> int:
             if token.strip()
         )
     else:
-        checks = _default_checks(kind)
+        checks = DEFAULT_CHECKS[kind]
     config = TrialConfig(
         trials=args.trials, generator=generator, checks=checks, seed=args.seed
     )
@@ -189,35 +163,36 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_game_command(name, func, help_text, with_mode=True):
+    def add_game_command(name, answer, help_text, fixed_mode=None):
+        # A command with one dominance relation ("strict") or none ("") fixes
+        # its document mode in place of taking --mode.
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("file", help="game file, or '-' for stdin")
-        if with_mode:
+        if fixed_mode is None:
             cmd.add_argument(
                 "--mode",
                 default="weak",
                 choices=[m.value for m in DominanceMode],
                 help="dominance relation (default: weak)",
             )
+        else:
+            cmd.set_defaults(mode=fixed_mode)
         cmd.add_argument("--json", action="store_true", help="machine output")
-        cmd.set_defaults(func=func)
-        return cmd
+        cmd.set_defaults(func=_cmd_game, answer=answer)
 
     # Commands that enumerate build saddle grids, refused over the grid budget.
     budget = f"(at most {MAX_GRID_BITS.bit_length() - 1} actions in all)"
-    add_game_command("enumerate", _cmd_enumerate, f"list all saddles {budget}")
+    add_game_command("enumerate", _enumerate, f"list all saddles {budget}")
     add_game_command(
-        "find", _cmd_find, "find the smallest saddle (builds no grid, so no size limit)"
+        "find", _find, "find the smallest saddle (builds no grid, so no size limit)"
     )
     add_game_command(
-        "strict", _cmd_strict, f"the unique strict saddle {budget}", with_mode=False
+        "strict", _strict, f"the unique strict saddle {budget}", fixed_mode="strict"
     )
-    add_game_command("value", _cmd_value, "exact game value", with_mode=False)
-    add_game_command("nash", _cmd_nash, "one exact Nash equilibrium", with_mode=False)
+    add_game_command("value", _value, "exact game value", fixed_mode="")
+    add_game_command("nash", _nash, "one exact Nash equilibrium", fixed_mode="")
     add_game_command(
-        "check",
-        _cmd_check,
-        f"interchangeability/equivalence verdict for one game {budget}",
+        "check", _check, f"interchangeability/equivalence verdict for one game {budget}"
     )
 
     verify = sub.add_parser(
@@ -227,7 +202,10 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--rows", type=int, required=True)
     verify.add_argument("--cols", type=int, required=True)
     verify.add_argument(
-        "--gen", required=True, choices=sorted(_GENERATOR_TOKENS), help="generator kind"
+        "--gen",
+        required=True,
+        choices=sorted(k.value for k in GeneratorKind),
+        help="generator kind",
     )
     verify.add_argument("--bound", type=int, default=3, help="entry magnitude cap")
     verify.add_argument("--seed", type=int, required=True)
@@ -252,10 +230,7 @@ def main(argv=None) -> int:
     except PropertyViolationError as exc:
         print(f"property violation: {exc}", file=sys.stderr)
         return 1
-    except (GameInputError, CapacityError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (GameInputError, CapacityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError:

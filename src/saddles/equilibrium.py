@@ -98,16 +98,6 @@ def nash_equilibrium(game: ZeroSumGame) -> MixedStrategyPair:
     return MixedStrategyPair(row_strategy, col_strategy, value)
 
 
-def expected_value(game: ZeroSumGame, pair: MixedStrategyPair) -> Fraction:
-    """x^T A y, exactly."""
-    return sum(
-        pair.row_strategy[r] * game.entry(r, c) * pair.col_strategy[c]
-        for r in range(game.rows)
-        for c in range(game.cols)
-        if pair.row_strategy[r] != 0 and pair.col_strategy[c] != 0
-    )
-
-
 def is_nash(game: ZeroSumGame, pair: MixedStrategyPair) -> bool:
     """No pure deviation helps either player, and the declared value matches.
 
@@ -115,18 +105,13 @@ def is_nash(game: ZeroSumGame, pair: MixedStrategyPair) -> bool:
     """
     if len(pair.row_strategy) != game.rows or len(pair.col_strategy) != game.cols:
         raise GameInputError("strategy lengths do not match the game")
-    payoff = expected_value(game, pair)
-    if payoff != pair.value:
-        return False
-    row_best = max(
-        sum(game.entry(r, c) * pair.col_strategy[c] for c in range(game.cols))
-        for r in range(game.rows)
-    )
-    col_best = min(
-        sum(pair.row_strategy[r] * game.entry(r, c) for r in range(game.rows))
-        for c in range(game.cols)
-    )
-    return row_best == payoff == col_best
+    # A y and x^T A once each, skipping zero probabilities (embedded saddle
+    # strategies are mostly zeros); the payoff is then x . (A y).
+    x, y = pair.row_strategy, pair.col_strategy
+    row_payoffs = [sum(a * q for a, q in zip(row, y) if q) for row in game.entries]
+    col_payoffs = [sum(p * a for p, a in zip(x, col) if p) for col in zip(*game.entries)]
+    payoff = sum(p * v for p, v in zip(x, row_payoffs) if p)
+    return max(row_payoffs) == payoff == min(col_payoffs) == pair.value
 
 
 def embed_strategy(

@@ -56,9 +56,6 @@ class CheckKind(enum.Enum):
             ) from None
 
 
-_CHECK_ORDER = tuple(CheckKind)
-
-
 @dataclass(frozen=True)
 class Violation:
     claim: str
@@ -207,6 +204,21 @@ def check_subgame_restriction(
     return in_game == in_subgame
 
 
+# The checks a campaign runs when none are named. Confrontation uniqueness
+# holds only on confrontation games (TrialConfig refuses it elsewhere), and
+# the distinct-payoff check only on pairwise-distinct payoffs.
+DEFAULT_CHECKS: dict[GeneratorKind, tuple[CheckKind, ...]] = {
+    GeneratorKind.UNIFORM_INT: (CheckKind.INTERCHANGEABILITY, CheckKind.STRICT_UNIQUE),
+    GeneratorKind.DISTINCT_INT: (
+        CheckKind.INTERCHANGEABILITY,
+        CheckKind.STRICT_UNIQUE,
+        CheckKind.DISTINCT_UNIQUE,
+    ),
+    GeneratorKind.CONFRONTATION: (CheckKind.CONFRONTATION_UNIQUE,),
+    GeneratorKind.TOURNAMENT: (CheckKind.CONFRONTATION_UNIQUE,),
+}
+
+
 @dataclass(frozen=True)
 class TrialConfig:
     """A seeded campaign: `trials` generated games, each run through `checks`.
@@ -228,7 +240,7 @@ class TrialConfig:
         if not 0 <= self.seed <= SEED_MAX:
             raise GameInputError("seed must fit in 64 bits")
         check_grid_budget(self.generator.rows, self.generator.cols)
-        normalized = tuple(k for k in _CHECK_ORDER if k in set(self.checks))
+        normalized = tuple(k for k in CheckKind if k in self.checks)
         if not normalized:
             raise GameInputError("a campaign needs at least one check")
         object.__setattr__(self, "checks", normalized)
@@ -355,17 +367,19 @@ def _run_one_check(
     return verdict.ok, "; ".join(verdict.violations)
 
 
-def _run_trial(args) -> tuple[int, list[tuple[str, bool, str]]]:
+def _run_trial(args) -> tuple[int, list[tuple[CheckKind, bool, str]], str | None]:
+    """(trial, (check, ok, detail) per check, the game's text if a check failed)."""
     # One analysis per trial: its checks share the tables and each mode's
     # grids, which go when the trial ends.
     config, trial = args
-    seed = trial_seed(config.seed, trial)
-    analysis = GameAnalysis(generate(replace(config.generator, seed=seed)))
-    results = []
-    for check in config.checks:
-        ok, detail = _run_one_check(check, analysis, config, trial)
-        results.append((check.value, ok, detail))
-    return trial, results
+    game = generate(replace(config.generator, seed=trial_seed(config.seed, trial)))
+    analysis = GameAnalysis(game)
+    results = [
+        (check, *_run_one_check(check, analysis, config, trial))
+        for check in config.checks
+    ]
+    failed = not all(ok for _, ok, _ in results)
+    return trial, results, game.to_text() if failed else None
 
 
 # Trials per task handed to a pool worker. A bounded chunk keeps the results
@@ -374,7 +388,7 @@ _MAX_CHUNK = 64
 
 
 def _finished_trials(config: TrialConfig, jobs: int):
-    """(trial, results) of every trial in trial order, one at a time."""
+    """The `_run_trial` result of every trial in trial order, one at a time."""
     work = ((config, t) for t in range(config.trials))
     if jobs > 1 and config.trials > 1:
         # Imported here: a serial run, and every other command, never pays
@@ -402,19 +416,15 @@ def run_trials(config: TrialConfig, jobs: int = 1) -> CampaignReport:
     passed = {check: 0 for check in config.checks}
     failed = {check: 0 for check in config.checks}
     first_failure: dict[CheckKind, FailureWitness] = {}
-    for trial, results in _finished_trials(config, jobs):
-        for token, ok, detail in results:
-            check = CheckKind(token)
+    for trial, results, game_text in _finished_trials(config, jobs):
+        for check, ok, detail in results:
             if ok:
                 passed[check] += 1
                 continue
             failed[check] += 1
             if check not in first_failure:
                 seed = trial_seed(config.seed, trial)
-                game = generate(replace(config.generator, seed=seed))
-                first_failure[check] = FailureWitness(
-                    trial=trial, seed=seed, game_text=game.to_text(), detail=detail
-                )
+                first_failure[check] = FailureWitness(trial, seed, game_text, detail)
 
     outcomes = tuple(
         CheckOutcome(

@@ -118,6 +118,32 @@ def test_missing_file_exit_code(capsys):
     assert main(["value", "/nonexistent/path.game"]) == 2
 
 
+NOT_UTF8 = b"2 2\n1 2\n3 \xff\n"
+
+
+@pytest.mark.parametrize("command", ["value", "enumerate"])
+def test_non_utf8_file_exit_code(capsys, tmp_path, command):
+    path = tmp_path / "latin.game"
+    path.write_bytes(NOT_UTF8)
+    assert main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith("not UTF-8 at byte offset 10\n")
+    assert "Traceback" not in captured.err
+
+
+def test_non_utf8_stdin_exit_code(capsys, monkeypatch):
+    import io
+
+    stdin = io.TextIOWrapper(io.BytesIO(NOT_UTF8), encoding="utf-8")
+    monkeypatch.setattr("sys.stdin", stdin)
+    assert main(["value", "-"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: stdin: not UTF-8")
+    assert "Traceback" not in captured.err
+
+
 def _game_file(tmp_path, rows, cols, entry):
     path = tmp_path / f"{rows}x{cols}.game"
     body = "\n".join(

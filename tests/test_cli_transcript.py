@@ -1,0 +1,75 @@
+"""Byte-stability of every game command: one SHA-256 over a fixed transcript.
+
+Each entry is (game, command, mode, --json, exit code, stdout, stderr) for
+`enumerate`, `find` and `check` in all three modes plus `strict`, `value`
+and `nash`, in text and JSON, on the golden games, a rational-entry game,
+the weak-strict counterexample, seeded uniform and confrontation games and
+a malformed file. Games are named, never by their file path, so the digest
+does not depend on where the files live.
+"""
+
+import hashlib
+import json
+
+from saddles.cli import main
+from saddles.generators import GeneratorConfig, GeneratorKind, generate
+
+from conftest import A1_ENTRIES, A2_ENTRIES, A3_ENTRIES
+
+
+def _text(rows):
+    body = "\n".join(" ".join(str(v) for v in row) for row in rows)
+    return f"{len(rows)} {len(rows[0])}\n{body}\n"
+
+
+def _games():
+    games = {
+        "A1": _text(A1_ENTRIES),
+        "A2": _text(A2_ENTRIES),
+        "A3": _text(A3_ENTRIES),
+        "rational": "2 3\n1/2 -7/3 2.5\n0 1 -1/4\n",
+        "weak-strict": "2 2\n0 0\n0 1\n",
+        "malformed": "2 2\n1 2 3\n",
+    }
+    shapes = [(1, 1), (1, 4), (3, 1), (2, 2), (2, 3), (3, 2), (3, 3), (3, 4),
+              (4, 3), (4, 4), (4, 5), (5, 5)]
+    for i, (rows, cols) in enumerate(shapes):
+        bound = 1 if i % 2 else 3
+        config = GeneratorConfig(GeneratorKind.UNIFORM_INT, rows, cols, bound, 100 + i)
+        games[f"uniform-{i}"] = generate(config).to_text()
+    for n in range(1, 6):
+        for bound in (1, 2):
+            config = GeneratorConfig(GeneratorKind.CONFRONTATION, n, n, bound, 200 + n)
+            games[f"confrontation-{n}-{bound}"] = generate(config).to_text()
+    return games
+
+
+_CALLS = [
+    (command, mode)
+    for command in ("enumerate", "find", "check")
+    for mode in ("weak", "strict", "weak-strict")
+] + [("strict", None), ("value", None), ("nash", None)]
+
+TRANSCRIPT_DIGEST = "b25b6a3bcb5bf4c1abf6f546dcfc8799ca7f2f8739ab1aed59f43db6c2b0cb46"
+
+
+def test_cli_transcript_digest(capsys, tmp_path):
+    records = []
+    for name, text in _games().items():
+        path = tmp_path / f"{name}.game"
+        path.write_text(text)
+        for command, mode in _CALLS:
+            for as_json in (False, True):
+                argv = [command, str(path)]
+                if mode is not None:
+                    argv += ["--mode", mode]
+                if as_json:
+                    argv.append("--json")
+                code = main(argv)
+                captured = capsys.readouterr()
+                records.append(
+                    [name, command, mode, as_json, code, captured.out, captured.err]
+                )
+    assert len(records) == 28 * 24
+    payload = json.dumps(records).encode()
+    assert hashlib.sha256(payload).hexdigest() == TRANSCRIPT_DIGEST

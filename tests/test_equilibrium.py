@@ -109,6 +109,14 @@ def test_non_equilibrium_rejected(a2):
     assert not is_nash(a2, pair)
 
 
+def test_optimal_strategies_with_wrong_value_rejected(a1, a2, a3):
+    for game in (a1, a2, a3):
+        pair = nash_equilibrium(game)
+        for value in (pair.value - 1, pair.value + 1):
+            off = MixedStrategyPair(pair.row_strategy, pair.col_strategy, value)
+            assert not is_nash(game, off)
+
+
 def test_is_nash_dimension_mismatch(a2):
     pair = MixedStrategyPair((1,), (1,), Fraction(0))
     with pytest.raises(GameInputError):

@@ -209,7 +209,7 @@ def test_campaign_memory_does_not_grow_with_trials(monkeypatch):
     # bookkeeping, which must not hold every work item or result at once.
     def stub(args):
         config, trial = args
-        return trial, [(check.value, True, "") for check in config.checks]
+        return trial, [(check, True, "") for check in config.checks], None
 
     monkeypatch.setattr(verify, "_run_trial", stub)
     config = _campaign(trials=20_000)
