@@ -32,9 +32,23 @@ uniform 5x5 games at each of `TRIAL_BOUNDS`:
   `kernels.dominance_mask_tables` and `kernels.saddle_grids` per trial,
   counted in one untimed pass.
 
+Under ``startup`` it times fresh interpreters that import this checkout's
+`src/`, from spawn:
+
+* ``import_cli_ms``: to `import saddles.cli` done (the child reports it on
+  stdout, then exits);
+* ``bare_python_ms``: to the exit of ``python -c pass``, the floor;
+* per command of `STARTUP_COMMANDS`, ``exit_ms``: to the exit of
+  ``python -m saddles.cli <command> <game>`` on one seeded uniform bound-3
+  5x5 game;
+
+and whether each of them loaded numpy (``numpy``), read from one further,
+untimed run under ``python -X importtime``.
+
 Every timed figure is the median of ``--repeats`` calls after one warm-up
-call. The output records the commit, the Python and numpy versions, the CPU
-count and the repeat count.
+call (for a spawn, the warm-up fills ``__pycache__``). The output records
+the commit, the Python and numpy versions, the CPU count and the repeat
+count.
 
 Usage:
     PYTHONPATH=src python benchmarks/bench_enumerate.py \
@@ -48,6 +62,8 @@ import os
 import platform
 import statistics
 import subprocess
+import sys
+import tempfile
 import time
 from collections import Counter
 from fractions import Fraction
@@ -61,6 +77,7 @@ from saddles import (
     GeneratorKind,
     TrialConfig,
     game_value,
+    format_game,
     generate,
     kernels,
 )
@@ -90,6 +107,10 @@ TRIAL_CHECKS = (
 )
 TRIAL_BOUNDS = (3, 1)
 TRIAL_GAMES = 20
+# The commands timed from spawn to exit: two that solve an LP and two that
+# build dominance tables (`enumerate` also its grids).
+STARTUP_COMMANDS = ("value", "nash", "find", "enumerate")
+IMPORT_PROBE = "import sys, saddles.cli; print('numpy' in sys.modules, flush=True)"
 
 
 def median_ms(func, repeats):
@@ -194,6 +215,68 @@ def trial_times(bound, seed, repeats):
     }
 
 
+def _child_env():
+    # The children import the saddles of this checkout, whatever PYTHONPATH
+    # the script itself was started with.
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def _median_spawn_ms(argv, repeats, until_line=False):
+    # Spawn to exit, or to the child's first line of stdout when until_line.
+    env = _child_env()
+    samples = []
+    for _ in range(repeats + 1):
+        start = time.perf_counter()
+        with subprocess.Popen(
+            argv, env=env, cwd=ROOT, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL
+        ) as child:
+            if until_line:
+                child.stdout.readline()
+                elapsed = time.perf_counter() - start
+            child.communicate()
+            if not until_line:
+                elapsed = time.perf_counter() - start
+        if child.returncode != 0:
+            raise RuntimeError(f"{argv} exited with {child.returncode}")
+        samples.append(elapsed)
+    return statistics.median(samples[1:]) * 1e3
+
+
+def _loads_numpy(argv):
+    # One untimed run under -X importtime, which lists every module imported.
+    run = subprocess.run(
+        [sys.executable, "-X", "importtime", *argv],
+        env=_child_env(), cwd=ROOT, capture_output=True, text=True, check=True,
+    )
+    return any(line.rsplit("|", 1)[-1].strip() == "numpy" for line in run.stderr.splitlines())
+
+
+def startup_times(seed, repeats):
+    game = generate(GeneratorConfig(GeneratorKind.UNIFORM_INT, 5, 5, 3, seed))
+    probe = ["-c", IMPORT_PROBE]
+    doc = {
+        "game": {"generator": "uniform", "size": "5x5", "bound": 3, "seed": seed},
+        "bare_python_ms": _median_spawn_ms([sys.executable, "-c", "pass"], repeats),
+        "import_cli_ms": _median_spawn_ms([sys.executable, *probe], repeats, until_line=True),
+        "import_cli_numpy": _loads_numpy(probe),
+        "commands": [],
+    }
+    with tempfile.TemporaryDirectory() as scratch:
+        path = Path(scratch) / "game.txt"
+        path.write_text(format_game(game))
+        for command in STARTUP_COMMANDS:
+            argv = ["-m", "saddles.cli", command, str(path)]
+            doc["commands"].append(
+                {
+                    "command": command,
+                    "exit_ms": _median_spawn_ms([sys.executable, *argv], repeats),
+                    "numpy": _loads_numpy(argv),
+                }
+            )
+    return doc
+
+
 def environment(repeats):
     try:
         commit = subprocess.run(
@@ -263,6 +346,15 @@ def main():
             f"{row['size']:>6} {bound:>6} {row['trial_ms']:>8.3f}ms"
             f" {row['tables_per_trial']:>7.2f} {row['grids_per_trial']:>6.2f}"
         )
+    doc["startup"] = startup = startup_times(args.seed, args.repeats)
+    print(f"\n{'startup':>18} {'time':>10} {'numpy':>6}")
+    print(f"{'python -c pass':>18} {startup['bare_python_ms']:>8.1f}ms")
+    print(
+        f"{'import saddles.cli':>18} {startup['import_cli_ms']:>8.1f}ms"
+        f" {startup['import_cli_numpy']!s:>6}"
+    )
+    for row in startup["commands"]:
+        print(f"{row['command']:>18} {row['exit_ms']:>8.1f}ms {row['numpy']!s:>6}")
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
     print(f"wrote {args.out}")
 

@@ -14,11 +14,10 @@ import sys
 
 from .dominance import DominanceMode
 from .equilibrium import game_value, nash_equilibrium
-from .errors import CapacityError, GameInputError, PropertyViolationError
+from .errors import MAX_GRID_BITS, CapacityError, GameInputError, PropertyViolationError
 from .game import ZeroSumGame, format_rational
 from .gamefile import parse_game
 from .generators import GeneratorConfig, GeneratorKind
-from .kernels import MAX_GRID_BITS
 from .report import ResultDocument, emit_result
 from .solver import enumerate_saddles, find_saddle, strict_saddle
 from .verify import (

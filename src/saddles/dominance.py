@@ -46,11 +46,26 @@ class DominanceMode(enum.Enum):
             ) from None
 
 
+MODE_WEAK = 0
+MODE_STRICT = 1
+MODE_WEAK_STRICT = 2
 _MODE_CODES = {
-    DominanceMode.WEAK: 0,
-    DominanceMode.STRICT: 1,
-    DominanceMode.WEAK_REQUIRE_STRICT: 2,
+    DominanceMode.WEAK: MODE_WEAK,
+    DominanceMode.STRICT: MODE_STRICT,
+    DominanceMode.WEAK_REQUIRE_STRICT: MODE_WEAK_STRICT,
 }
+
+
+def mask_dominates(ge_mask, gt_mask, restriction, mode: int):
+    """Single dominance test against precomputed ge/gt masks. It branches on
+    the mode code only, never on a mask, so it works on python ints and
+    elementwise on numpy arrays alike."""
+    if mode == MODE_STRICT:
+        return (restriction & ~gt_mask) == 0
+    weak = (restriction & ~ge_mask) == 0
+    if mode == MODE_WEAK_STRICT:
+        return weak & ((restriction & gt_mask) != 0)
+    return weak
 
 
 @dataclass(frozen=True)

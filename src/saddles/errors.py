@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the grid budget they guard."""
 
 
 class GameInputError(ValueError):
@@ -7,8 +7,8 @@ class GameInputError(ValueError):
 
 class CapacityError(RuntimeError):
     """A resource budget was exceeded: saddle grids above the grid-bit budget
-    (`kernels.MAX_GRID_BITS`), or an exact result too long to print under
-    the integer-string limit."""
+    (`MAX_GRID_BITS`, checked by `check_grid_budget` in this module), or an
+    exact result too long to print under the integer-string limit."""
 
 
 class PropertyViolationError(RuntimeError):
@@ -17,3 +17,28 @@ class PropertyViolationError(RuntimeError):
     Raised only where the API contract promises a unique answer (e.g. the
     strict saddle); anything raising this is a bug witness, not a user error.
     """
+
+
+# Each saddle grid holds one bit per product, 2^(rows+cols) bits, so this
+# budget (128 MB per grid) bounds memory by the grid size alone. The unpacked
+# grids of earlier versions took about ten bytes per product, so every grid
+# that fitted in memory then is within it. The grid engine (`kernels`) keeps
+# masks and product indices in int32, which holds any index below this budget.
+MAX_GRID_BITS = 1 << 30
+
+
+def check_grid_budget(rows: int, cols: int) -> None:
+    """Raise CapacityError when the grids of a rows x cols game would exceed
+    MAX_GRID_BITS; checked before anything is built for them.
+
+    This is the one shape budget of exhaustive enumeration. It compares
+    exponents, so a huge requested shape costs nothing to refuse. It lives
+    here, not in the numpy grid engine, so that refusing a shape loads no
+    numpy.
+    """
+    limit = MAX_GRID_BITS.bit_length() - 1
+    if rows + cols > limit:
+        raise CapacityError(
+            f"saddle grids of a {rows}x{cols} game need 2^{rows + cols} bits each, "
+            f"over the budget of 2^{limit} bits (at most {limit} actions in all)"
+        )

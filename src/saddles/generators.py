@@ -4,7 +4,11 @@ All randomness comes from numpy's PCG64 bit generator seeded through
 `numpy.random.SeedSequence`, so a config is a pure description: the same
 config always yields the same game, on any platform. Campaign code derives
 per-trial seeds with `trial_seed`, which uses SeedSequence spawn keys; trials
-are therefore independent of execution order.
+are therefore independent of execution order. `seeded_rng` is the one
+constructor of a seeded generator in the package.
+
+numpy is imported inside the functions that use it, so importing this module
+loads no numpy.
 """
 
 from __future__ import annotations
@@ -12,11 +16,13 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import GameInputError
 from .game import ZeroSumGame
+
+if TYPE_CHECKING:
+    import numpy as np
 
 SEED_MAX = 2**64 - 1
 # Every generator draws from a range of 2*bound + 1 integers, which must fit
@@ -59,12 +65,20 @@ class GeneratorConfig:
 
 def trial_seed(seed: int, index: int) -> int:
     """Derive the seed for trial `index` of a campaign seeded with `seed`."""
+    import numpy as np
+
     ss = np.random.SeedSequence(seed, spawn_key=(index,))
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+def seeded_rng(seed: int, spawn_key: tuple[int, ...] = ()) -> np.random.Generator:
+    """numpy's PCG64 generator seeded by `seed` and `spawn_key` through a
+    SeedSequence; the same arguments always give the same stream."""
+    import numpy as np
+
+    return np.random.Generator(
+        np.random.PCG64(np.random.SeedSequence(seed, spawn_key=spawn_key))
+    )
 
 
 def _skew_symmetric(n: int, bound: int, rng: np.random.Generator) -> list[list[int]]:
@@ -82,7 +96,7 @@ def _skew_symmetric(n: int, bound: int, rng: np.random.Generator) -> list[list[i
 
 def generate(config: GeneratorConfig) -> ZeroSumGame:
     """Deterministically generate the game described by `config`."""
-    rng = _rng(config.seed)
+    rng = seeded_rng(config.seed)
     n, m, bound = config.rows, config.cols, config.bound
 
     if config.kind is GeneratorKind.UNIFORM_INT:

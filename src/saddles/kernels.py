@@ -25,25 +25,22 @@ halves above):
   closing the marks downward over that side's bits, and
 * the minimality filter closes the GSP grid upward, then marks every
   product one action above a marked one; the GSPs left unmarked are minimal.
+
+This is the one module of the package that imports numpy at module level,
+and it is loaded when tables or grids are first built. The numpy-free names
+it shares live elsewhere and are re-exported here: the grid budget
+(`MAX_GRID_BITS`, `check_grid_budget`) in `errors`, so that refusing a shape
+loads no numpy, and the mode codes and the mask test `mask_dominates` in
+`dominance`, so that `find`'s per-product test needs no import.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import CapacityError
+from .dominance import MODE_STRICT, MODE_WEAK, MODE_WEAK_STRICT, mask_dominates  # noqa: F401 (re-exported)
+from .errors import MAX_GRID_BITS, check_grid_budget  # noqa: F401 (re-exported)
 from .game import ZeroSumGame
-
-MODE_WEAK = 0
-MODE_STRICT = 1
-MODE_WEAK_STRICT = 2
-
-# Each grid holds one bit per product, 2^(rows+cols) bits, so this budget
-# (128 MB per grid) bounds memory by the grid size alone. The unpacked grids
-# of earlier versions took about ten bytes per product, so every grid that
-# fitted in memory then is within it. Masks and product indices are int32,
-# which holds any index below this budget.
-MAX_GRID_BITS = 1 << 30
 
 _WORD_SHIFT = 6  # 64 cells per uint64 word
 # _STAY[b]: the cells of a word whose in-word index has bit b clear.
@@ -88,18 +85,6 @@ def dominance_mask_tables(game: ZeroSumGame):
         _pack(by_col[:, None] <= by_col[None]),
         _pack(by_col[:, None] < by_col[None]),
     )
-
-
-def mask_dominates(ge_mask, gt_mask, restriction, mode: int):
-    """Single dominance test against precomputed ge/gt masks. It branches on
-    the mode only, never on a mask, so it works on python ints and
-    elementwise on numpy arrays alike."""
-    if mode == MODE_STRICT:
-        return (restriction & ~gt_mask) == 0
-    weak = (restriction & ~ge_mask) == 0
-    if mode == MODE_WEAK_STRICT:
-        return weak & ((restriction & gt_mask) != 0)
-    return weak
 
 
 def _non_dominators(ge, gt, k, opps, mode):
@@ -179,21 +164,6 @@ def _minimal_grid(gsp, nbits):
     np.invert(below, out=below)
     below &= gsp  # the GSPs with no GSP strictly inside
     return below
-
-
-def check_grid_budget(rows: int, cols: int) -> None:
-    """Raise CapacityError when the grids of a rows x cols game would exceed
-    MAX_GRID_BITS; checked before anything is built for them.
-
-    This is the one shape budget of exhaustive enumeration. It compares
-    exponents, so a huge requested shape costs nothing to refuse.
-    """
-    limit = MAX_GRID_BITS.bit_length() - 1
-    if rows + cols > limit:
-        raise CapacityError(
-            f"saddle grids of a {rows}x{cols} game need 2^{rows + cols} bits each, "
-            f"over the budget of 2^{limit} bits (at most {limit} actions in all)"
-        )
 
 
 def saddle_grids(game: ZeroSumGame, mode_code: int, tables):

@@ -4,9 +4,13 @@ A product R' x C' is a generalized saddle point (GSP) when R' dominates all
 outside rows w.r.t. C' and C' dominates all outside columns w.r.t. R'. A
 saddle is an inclusion-minimal GSP. `enumerate_saddles` finds them all by
 exhaustive scan (exponential, within the grid budget of
-`kernels.check_grid_budget`); `find_saddle` returns one and needs no grid.
+`errors.check_grid_budget`); `find_saddle` returns one and needs no grid.
 A `GameAnalysis` holds one game's tables and grids, so several questions
 about the same game share one build of each.
+
+The numpy grid engine, `kernels`, is imported only inside the functions
+that build tables or grids or read them, so importing this module loads no
+numpy.
 """
 
 from __future__ import annotations
@@ -15,14 +19,14 @@ import functools
 import itertools
 from dataclasses import dataclass, field
 
-from . import kernels
 from .dominance import (
     DominanceMode,
+    mask_dominates,
     set_dominates_cols,
     set_dominates_rows,
     _dominated_by_rival,
 )
-from .errors import GameInputError, PropertyViolationError
+from .errors import GameInputError, PropertyViolationError, check_grid_budget
 from .game import ActionProduct, ZeroSumGame
 
 
@@ -72,6 +76,8 @@ def _mask_to_indices(mask: int, count: int) -> tuple[int, ...]:
 
 
 def _grid_products(grid, game: ZeroSumGame) -> tuple[ActionProduct, ...]:
+    from . import kernels
+
     row_masks, col_masks = kernels.grid_cells(grid, game.cols)
     products = [
         ActionProduct(
@@ -101,6 +107,8 @@ class GameAnalysis:
     @functools.cached_property
     def tables(self):
         """The game's `kernels.dominance_mask_tables`, built on first use."""
+        from . import kernels
+
         return kernels.dominance_mask_tables(self.game)
 
     def grids(self, mode: DominanceMode):
@@ -108,7 +116,9 @@ class GameAnalysis:
         checked before the tables are built."""
         found = self._grids.get(mode)
         if found is None:
-            kernels.check_grid_budget(self.game.rows, self.game.cols)
+            check_grid_budget(self.game.rows, self.game.cols)
+            from . import kernels
+
             found = kernels.saddle_grids(self.game, mode.code, self.tables)
             self._grids[mode] = found
         return found
@@ -174,8 +184,7 @@ def _side_dominated(ge, gt, inside, inside_mask, count, opp_mask, mode_code) -> 
         if inside_mask >> a2 & 1:
             continue
         if not any(
-            kernels.mask_dominates(ge[a1][a2], gt[a1][a2], opp_mask, mode_code)
-            for a1 in inside
+            mask_dominates(ge[a1][a2], gt[a1][a2], opp_mask, mode_code) for a1 in inside
         ):
             return False
     return True
@@ -199,6 +208,8 @@ def find_saddle(game: ZeroSumGame, mode: DominanceMode) -> ActionProduct:
     ends. It builds no grid, so the grid budget does not apply: the scan is
     output-sensitive but exponential in the worst case.
     """
+    from . import kernels
+
     tables = kernels.dominance_mask_tables(game)
     n, m = game.rows, game.cols
     for rows, cols in _products_by_size(n, m):

@@ -18,14 +18,18 @@ import os
 import time
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .dominance import DominanceMode
 from .equilibrium import embed_strategy, game_value, is_nash, nash_equilibrium
-from .errors import GameInputError
+from .errors import GameInputError, check_grid_budget
 from .game import ActionProduct, ZeroSumGame
-from .generators import SEED_MAX, GeneratorConfig, GeneratorKind, generate, trial_seed
-from .kernels import check_grid_budget
+from .generators import (
+    SEED_MAX,
+    GeneratorConfig,
+    GeneratorKind,
+    generate,
+    seeded_rng,
+    trial_seed,
+)
 from .solver import (
     GameAnalysis,
     SaddleSet,
@@ -323,9 +327,7 @@ def _sample_restriction_products(
     subject: ZeroSumGame | GameAnalysis, campaign_seed: int, trial: int
 ):
     """Deterministically pick a weak GSP and a nested product for one trial."""
-    rng = np.random.Generator(
-        np.random.PCG64(np.random.SeedSequence(campaign_seed, spawn_key=(trial, 1)))
-    )
+    rng = seeded_rng(campaign_seed, spawn_key=(trial, 1))
     gsps = all_gsps(subject, DominanceMode.WEAK)
     outer = gsps[int(rng.integers(len(gsps)))]
     row_mask = int(rng.integers(1, 1 << len(outer.row_set)))
@@ -412,6 +414,12 @@ def run_trials(config: TrialConfig, jobs: int = 1) -> CampaignReport:
     if jobs < 1:
         raise GameInputError(f"--jobs must be at least 1, got {jobs}")
     jobs = min(jobs, os.cpu_count() or 1)
+    # Every trial needs numpy, for the grid engine and the generators' RNG.
+    # Load both before the clock starts, so that duration_seconds holds no
+    # import, and before a pool forks, so that no worker imports them again.
+    from . import kernels  # noqa: F401
+    import numpy.random  # noqa: F401
+
     start = time.perf_counter()
     passed = {check: 0 for check in config.checks}
     failed = {check: 0 for check in config.checks}

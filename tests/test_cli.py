@@ -204,15 +204,88 @@ def test_memory_error_exit_code(capsys, monkeypatch, a1_file):
     assert captured.err == "error: out of memory\n"
 
 
-def test_import_does_not_load_multiprocessing():
-    # Only `verify --jobs N` with N > 1 needs a process pool.
+def _probe(code, *args):
+    # stdout of `python -c code args...` in a fresh interpreter that imports
+    # the saddles of this checkout.
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    probe = "import sys, saddles.cli; print('multiprocessing' in sys.modules)"
     result = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, check=True
     )
-    assert result.stdout == "False\n"
+    return result.stdout
+
+
+def test_import_does_not_load_multiprocessing():
+    # Only `verify --jobs N` with N > 1 needs a process pool.
+    probe = "import sys, saddles.cli; print('multiprocessing' in sys.modules)"
+    assert _probe(probe) == "False\n"
+
+
+def test_import_does_not_load_numpy():
+    # Only the grid engine and the generators need numpy, on first use.
+    probe = "import sys, saddles, saddles.cli; print('numpy' in sys.modules)"
+    assert _probe(probe) == "False\n"
+
+
+# Runs `main` on each argv of a JSON list in one fresh process; the last line
+# of stdout holds (exit code, whether numpy is loaded) after each call.
+MAIN_PROBE = """
+import json, sys
+from saddles.cli import main
+seen = []
+for argv in json.loads(sys.argv[1]):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    seen.append([code, "numpy" in sys.modules])
+print(json.dumps(seen))
+"""
+
+
+def _numpy_after_each(*argvs):
+    last_line = _probe(MAIN_PROBE, json.dumps(argvs)).splitlines()[-1]
+    return [tuple(row) for row in json.loads(last_line)]
+
+
+def test_lp_commands_and_input_errors_do_not_load_numpy(tmp_path, a1_file):
+    bad = tmp_path / "bad.game"
+    bad.write_text("2 2\n1 2 3\n")
+    latin = tmp_path / "latin.game"
+    latin.write_bytes(NOT_UTF8)
+    verify = ["verify", "--trials", "1", "--rows", "3", "--cols", "3", "--gen", "uniform",
+              "--seed", "1"]
+    seen = _numpy_after_each(
+        ["value", a1_file],
+        ["nash", a1_file, "--json"],
+        ["enumerate", a1_file, "--mode", "nonsense"],
+        ["enumerate", str(bad)],
+        ["enumerate", str(latin)],
+        verify + ["--bound", "0"],
+        ["enumerate", _game_file(tmp_path, 29, 2, lambda r, c: 1)],
+    )
+    assert seen == [(0, False), (0, False)] + [(2, False)] * 5
+
+
+def test_enumerate_loads_numpy(a1_file):
+    # The control: the probe does see numpy once the grid engine is used.
+    assert _numpy_after_each(["enumerate", a1_file]) == [(0, True)]
+
+
+def test_verify_loads_numpy_before_its_clock_starts():
+    # Timed, the import would count in duration_seconds; loaded after a pool
+    # forks, it would be imported again by every worker.
+    probe = """
+import sys, time, types
+from saddles import cli, verify
+def clock():
+    print("saddles.kernels" in sys.modules and "numpy.random" in sys.modules)
+    return time.perf_counter()
+verify.time = types.SimpleNamespace(perf_counter=clock)
+cli.main(["verify", "--trials", "1", "--rows", "2", "--cols", "2", "--gen", "uniform",
+          "--seed", "1", "--json"])
+"""
+    assert _probe(probe).splitlines()[0] == "True"
 
 
 @pytest.mark.parametrize("command", ["value", "nash"])
