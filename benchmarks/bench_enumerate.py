@@ -73,6 +73,7 @@ import numpy as np
 
 from saddles import (
     CheckKind,
+    DominanceMode,
     GeneratorConfig,
     GeneratorKind,
     TrialConfig,
@@ -82,7 +83,6 @@ from saddles import (
     kernels,
 )
 from saddles.kernels import (
-    MODE_WEAK,
     _gsp_grid,
     _minimal_grid,
     _non_dominators,
@@ -124,27 +124,27 @@ def median_ms(func, repeats):
 
 
 def layer_times(game, repeats):
-    n, m = game.rows, game.cols
+    n, m, weak = game.rows, game.cols, DominanceMode.WEAK
     row_ge, row_gt, col_le, col_lt = tables = [
         np.array(t, dtype=np.int32) for t in dominance_mask_tables(game)
     ]
     col_masks = np.arange(1 << m, dtype=np.int32)
     row_masks = np.arange(1 << n, dtype=np.int32)
-    gsp = _gsp_grid(*tables, n, m, MODE_WEAK)
+    gsp = _gsp_grid(*tables, n, m, weak)
     minimal = _minimal_grid(gsp, n + m)
 
     def nondominator_sets():
-        _non_dominators(row_ge, row_gt, n, col_masks, MODE_WEAK)
-        _non_dominators(col_le, col_lt, m, row_masks, MODE_WEAK)
+        _non_dominators(row_ge, row_gt, n, col_masks, weak)
+        _non_dominators(col_le, col_lt, m, row_masks, weak)
 
     times = {
         "tables_ms": median_ms(lambda: dominance_mask_tables(game), repeats),
         "nondominator_sets_ms": median_ms(nondominator_sets, repeats),
-        "gsp_grid_ms": median_ms(lambda: _gsp_grid(*tables, n, m, MODE_WEAK), repeats),
+        "gsp_grid_ms": median_ms(lambda: _gsp_grid(*tables, n, m, weak), repeats),
         "minimal_filter_ms": median_ms(lambda: _minimal_grid(gsp, n + m), repeats),
         "cell_extraction_ms": median_ms(lambda: _grid_products(minimal, game), repeats),
         "saddle_grids_ms": median_ms(
-            lambda: saddle_grids(game, MODE_WEAK, dominance_mask_tables(game)), repeats
+            lambda: saddle_grids(game, weak, dominance_mask_tables(game)), repeats
         ),
     }
     times["gsp_closure_ms"] = times["gsp_grid_ms"] - times["nondominator_sets_ms"]

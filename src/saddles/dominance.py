@@ -30,11 +30,6 @@ class DominanceMode(enum.Enum):
     STRICT = "strict"
     WEAK_REQUIRE_STRICT = "weak-strict"
 
-    @property
-    def code(self) -> int:
-        """Stable integer tag used by the enumeration kernels."""
-        return _MODE_CODES[self]
-
     @classmethod
     def from_token(cls, token: str) -> "DominanceMode":
         try:
@@ -46,24 +41,21 @@ class DominanceMode(enum.Enum):
             ) from None
 
 
-MODE_WEAK = 0
-MODE_STRICT = 1
-MODE_WEAK_STRICT = 2
-_MODE_CODES = {
-    DominanceMode.WEAK: MODE_WEAK,
-    DominanceMode.STRICT: MODE_STRICT,
-    DominanceMode.WEAK_REQUIRE_STRICT: MODE_WEAK_STRICT,
-}
+# The members bound once: `find` tests tens of thousands of masks per game,
+# and looking a member up on the enum class costs about as much as the test.
+_WEAK = DominanceMode.WEAK
+_STRICT = DominanceMode.STRICT
+_WEAK_STRICT = DominanceMode.WEAK_REQUIRE_STRICT
 
 
-def mask_dominates(ge_mask, gt_mask, restriction, mode: int):
+def mask_dominates(ge_mask, gt_mask, restriction, mode: DominanceMode):
     """Single dominance test against precomputed ge/gt masks. It branches on
-    the mode code only, never on a mask, so it works on python ints and
+    the mode only, never on a mask, so it works on python ints and
     elementwise on numpy arrays alike."""
-    if mode == MODE_STRICT:
+    if mode is _STRICT:
         return (restriction & ~gt_mask) == 0
     weak = (restriction & ~ge_mask) == 0
-    if mode == MODE_WEAK_STRICT:
+    if mode is _WEAK_STRICT:
         return weak & ((restriction & gt_mask) != 0)
     return weak
 
@@ -87,11 +79,11 @@ def _index_set(indices: Iterable[int], limit: int, axis: str) -> tuple[int, ...]
 
 def _beats(better, worse, mode: DominanceMode) -> bool:
     """Does payoff sequence `better` dominate `worse` entry by entry?"""
-    if mode is DominanceMode.STRICT:
+    if mode is _STRICT:
         return all(a > b for a, b in zip(better, worse))
     if not all(a >= b for a, b in zip(better, worse)):
         return False
-    return mode is DominanceMode.WEAK or any(a > b for a, b in zip(better, worse))
+    return mode is _WEAK or any(a > b for a, b in zip(better, worse))
 
 
 def _lines(game: ZeroSumGame, columns: bool, a1: int, a2: int, opponents):

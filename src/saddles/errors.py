@@ -20,10 +20,10 @@ class PropertyViolationError(RuntimeError):
 
 
 # Each saddle grid holds one bit per product, 2^(rows+cols) bits, so this
-# budget (128 MB per grid) bounds memory by the grid size alone. The unpacked
-# grids of earlier versions took about ten bytes per product, so every grid
-# that fitted in memory then is within it. The grid engine (`kernels`) keeps
-# masks and product indices in int32, which holds any index below this budget.
+# budget (128 MB per grid) bounds memory by the grid size alone: a grid build
+# holds at most three grid-sized buffers at once, and a `GameAnalysis` keeps
+# two per mode it has built. The grid engine (`kernels`) keeps masks and
+# product indices in int32, which holds any index below this budget.
 MAX_GRID_BITS = 1 << 30
 
 

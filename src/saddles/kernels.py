@@ -23,23 +23,19 @@ halves above):
   sets that leave some outside action undominated (exactly the subsets of
   that action's non-dominators) by marking each non-dominator set and
   closing the marks downward over that side's bits, and
-* the minimality filter closes the GSP grid upward, then marks every
-  product one action above a marked one; the GSPs left unmarked are minimal.
+* the minimality filter marks every product one action above a GSP, then
+  closes the marks upward; the GSPs left unmarked are minimal.
 
 This is the one module of the package that imports numpy at module level,
-and it is loaded when tables or grids are first built. The numpy-free names
-it shares live elsewhere and are re-exported here: the grid budget
-(`MAX_GRID_BITS`, `check_grid_budget`) in `errors`, so that refusing a shape
-loads no numpy, and the mode codes and the mask test `mask_dominates` in
-`dominance`, so that `find`'s per-product test needs no import.
+and it is loaded when tables or grids are first built.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .dominance import MODE_STRICT, MODE_WEAK, MODE_WEAK_STRICT, mask_dominates  # noqa: F401 (re-exported)
-from .errors import MAX_GRID_BITS, check_grid_budget  # noqa: F401 (re-exported)
+from .dominance import DominanceMode, mask_dominates
+from .errors import check_grid_budget
 from .game import ZeroSumGame
 
 _WORD_SHIFT = 6  # 64 cells per uint64 word
@@ -154,19 +150,19 @@ def _gsp_grid(row_ge, row_gt, col_le, col_lt, n, m, mode):
 
 
 def _minimal_grid(gsp, nbits):
-    # A GSP is minimal iff no proper subproduct is a GSP. up[X] marks the
-    # products with a GSP inside them; below[X] = OR over i in X of
-    # up[X - i] marks those with a GSP strictly inside.
-    up = _close(gsp.copy(), range(nbits), upward=True)
+    # A GSP is minimal iff no proper subproduct is a GSP. A product has a
+    # GSP G strictly inside iff it contains G + i for some action i outside
+    # G, so below marks every GSP one action up, then closes upward.
     below = np.zeros_like(gsp)
     for b in range(nbits):
-        _spread(up, below, b, upward=True)
+        _spread(gsp, below, b, upward=True)
+    _close(below, range(nbits), upward=True)
     np.invert(below, out=below)
     below &= gsp  # the GSPs with no GSP strictly inside
     return below
 
 
-def saddle_grids(game: ZeroSumGame, mode_code: int, tables):
+def saddle_grids(game: ZeroSumGame, mode: DominanceMode, tables):
     """(gsp, minimal) grids packed one bit per product into uint64 words.
 
     `tables` are the game's `dominance_mask_tables`. The product of row mask
@@ -179,7 +175,7 @@ def saddle_grids(game: ZeroSumGame, mode_code: int, tables):
     """
     n, m = game.rows, game.cols
     check_grid_budget(n, m)
-    gsp = _gsp_grid(*(np.array(table, dtype=np.int32) for table in tables), n, m, mode_code)
+    gsp = _gsp_grid(*(np.array(table, dtype=np.int32) for table in tables), n, m, mode)
     return gsp, _minimal_grid(gsp, n + m)
 
 

@@ -26,7 +26,7 @@ from .dominance import (
     set_dominates_rows,
     _dominated_by_rival,
 )
-from .errors import GameInputError, PropertyViolationError, check_grid_budget
+from .errors import PropertyViolationError, check_grid_budget
 from .game import ActionProduct, ZeroSumGame
 
 
@@ -119,7 +119,7 @@ class GameAnalysis:
             check_grid_budget(self.game.rows, self.game.cols)
             from . import kernels
 
-            found = kernels.saddle_grids(self.game, mode.code, self.tables)
+            found = kernels.saddle_grids(self.game, mode, self.tables)
             self._grids[mode] = found
         return found
 
@@ -178,24 +178,24 @@ def _products_by_size(n: int, m: int):
                     yield rows, cols
 
 
-def _side_dominated(ge, gt, inside, inside_mask, count, opp_mask, mode_code) -> bool:
+def _side_dominated(ge, gt, inside, inside_mask, count, opp_mask, mode) -> bool:
     # Does every action outside `inside` have a dominator inside w.r.t. opp_mask?
     for a2 in range(count):
         if inside_mask >> a2 & 1:
             continue
         if not any(
-            mask_dominates(ge[a1][a2], gt[a1][a2], opp_mask, mode_code) for a1 in inside
+            mask_dominates(ge[a1][a2], gt[a1][a2], opp_mask, mode) for a1 in inside
         ):
             return False
     return True
 
 
-def _mask_is_gsp(tables, n: int, m: int, rows, cols, mode_code: int) -> bool:
+def _mask_is_gsp(tables, n: int, m: int, rows, cols, mode: DominanceMode) -> bool:
     row_ge, row_gt, col_le, col_lt = tables
     row_mask = sum(1 << r for r in rows)
     col_mask = sum(1 << c for c in cols)
-    return _side_dominated(row_ge, row_gt, rows, row_mask, n, col_mask, mode_code) and (
-        _side_dominated(col_le, col_lt, cols, col_mask, m, row_mask, mode_code)
+    return _side_dominated(row_ge, row_gt, rows, row_mask, n, col_mask, mode) and (
+        _side_dominated(col_le, col_lt, cols, col_mask, m, row_mask, mode)
     )
 
 
@@ -213,7 +213,7 @@ def find_saddle(game: ZeroSumGame, mode: DominanceMode) -> ActionProduct:
     tables = kernels.dominance_mask_tables(game)
     n, m = game.rows, game.cols
     for rows, cols in _products_by_size(n, m):
-        if _mask_is_gsp(tables, n, m, rows, cols, mode.code):
+        if _mask_is_gsp(tables, n, m, rows, cols, mode):
             break
     found = ActionProduct(rows, cols)
     if not is_gsp(game, found, mode):

@@ -4,11 +4,12 @@
 interchangeable (cross products of saddles are saddles) and equivalent
 (saddle subgames coincide up to row/column permutation). The remaining
 checks cover strict-saddle uniqueness, uniqueness on confrontation games,
-the distinct-payoff case, the subgame restriction lemma used by
-`find_saddle`, and value/equilibrium consistency of saddles. `run_trials`
-drives them over seeded random campaigns and reports replayable witnesses
-for any failure: these properties admit no exceptions, so a single failed
-trial is a falsification, not noise.
+the distinct-payoff case, the subgame restriction lemma (inside a weak GSP,
+a product is a GSP of the game iff it is one of that subgame), and
+value/equilibrium consistency of saddles. `run_trials` drives them over
+seeded random campaigns and reports replayable witnesses for any failure:
+these properties admit no exceptions, so a single failed trial is a
+falsification, not noise.
 """
 
 from __future__ import annotations

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from saddles import new_game
@@ -25,6 +30,27 @@ A3_ENTRIES = [
     [2, 3, 1, 3, 2],
     [1, 0, 2, 2, 0],
 ]
+
+
+def planted_saddle_entry(r, c):
+    # Entry (2, 5) is the least of its row and the greatest of its column,
+    # and no other entry is both, so {2} x {5} is the saddle `find` returns
+    # on any game of at least 3 rows and 6 columns; the other entries are a
+    # fixed pattern in -3..3.
+    if (r, c) == (2, 5):
+        return 0
+    return 3 if r == 2 else -3 if c == 5 else (r * c) % 7 - 3
+
+
+def run_probe(code, *args):
+    """stdout of `python -c code args...` in a fresh interpreter that imports
+    the saddles of this checkout."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    result = subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, check=True
+    )
+    return result.stdout
 
 
 def game_from(rows):

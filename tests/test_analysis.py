@@ -144,8 +144,8 @@ def test_one_trial_builds_tables_once_and_each_grid_once(monkeypatch):
     assert run_trials(config).all_passed
     assert calls == {
         ("dominance_mask_tables",): 1,
-        ("saddle_grids", DominanceMode.WEAK.code): 1,
-        ("saddle_grids", DominanceMode.STRICT.code): 1,
+        ("saddle_grids", DominanceMode.WEAK): 1,
+        ("saddle_grids", DominanceMode.STRICT): 1,
     }
 
 

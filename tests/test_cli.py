@@ -2,12 +2,10 @@ import json
 import multiprocessing
 import os
 import re
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
+from conftest import planted_saddle_entry, run_probe
 from saddles import kernels
 from saddles.cli import build_parser, main
 from saddles.report import ResultDocument, emit_result
@@ -193,6 +191,17 @@ def test_grid_budget_exit_code(capsys, monkeypatch, tmp_path, command, rows, col
         assert code == 0 and "saddles (" in captured.out
 
 
+def test_find_answers_past_the_grid_budget(capsys, monkeypatch, tmp_path):
+    # `find` builds no grid, so a game that `enumerate` refuses still has
+    # an answer.
+    path = _game_file(tmp_path, 16, 16, planted_saddle_entry)
+    monkeypatch.setattr(kernels, "_gsp_grid", _unreachable)
+    assert main(["enumerate", path]) == 2
+    assert "2^32 bits" in capsys.readouterr().err
+    code, out = run(capsys, "find", path, "--json")
+    assert code == 0 and json.loads(out)["saddles"] == [[[2], [5]]]
+
+
 def test_memory_error_exit_code(capsys, monkeypatch, a1_file):
     def exhausted(*args, **kwargs):
         raise MemoryError
@@ -204,27 +213,16 @@ def test_memory_error_exit_code(capsys, monkeypatch, a1_file):
     assert captured.err == "error: out of memory\n"
 
 
-def _probe(code, *args):
-    # stdout of `python -c code args...` in a fresh interpreter that imports
-    # the saddles of this checkout.
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    result = subprocess.run(
-        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, check=True
-    )
-    return result.stdout
-
-
 def test_import_does_not_load_multiprocessing():
     # Only `verify --jobs N` with N > 1 needs a process pool.
     probe = "import sys, saddles.cli; print('multiprocessing' in sys.modules)"
-    assert _probe(probe) == "False\n"
+    assert run_probe(probe) == "False\n"
 
 
 def test_import_does_not_load_numpy():
     # Only the grid engine and the generators need numpy, on first use.
     probe = "import sys, saddles, saddles.cli; print('numpy' in sys.modules)"
-    assert _probe(probe) == "False\n"
+    assert run_probe(probe) == "False\n"
 
 
 # Runs `main` on each argv of a JSON list in one fresh process; the last line
@@ -244,7 +242,7 @@ print(json.dumps(seen))
 
 
 def _numpy_after_each(*argvs):
-    last_line = _probe(MAIN_PROBE, json.dumps(argvs)).splitlines()[-1]
+    last_line = run_probe(MAIN_PROBE, json.dumps(argvs)).splitlines()[-1]
     return [tuple(row) for row in json.loads(last_line)]
 
 
@@ -285,7 +283,7 @@ verify.time = types.SimpleNamespace(perf_counter=clock)
 cli.main(["verify", "--trials", "1", "--rows", "2", "--cols", "2", "--gen", "uniform",
           "--seed", "1", "--json"])
 """
-    assert _probe(probe).splitlines()[0] == "True"
+    assert run_probe(probe).splitlines()[0] == "True"
 
 
 @pytest.mark.parametrize("command", ["value", "nash"])

@@ -1,12 +1,14 @@
 """Exact mask tables and product grids, refereed by the brute-force oracles."""
 
 import hashlib
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import run_probe
 from oracles import brute_is_gsp, brute_saddles
 from saddles import (
     CapacityError,
@@ -19,17 +21,15 @@ from saddles import (
     trial_seed,
 )
 from saddles import kernels
-from saddles.kernels import (
-    MAX_GRID_BITS,
-    MODE_STRICT,
-    MODE_WEAK,
-    MODE_WEAK_STRICT,
-    dominance_mask_tables,
-    grid_cells,
-    mask_dominates,
-)
+from saddles.dominance import mask_dominates
+from saddles.errors import MAX_GRID_BITS
+from saddles.kernels import dominance_mask_tables, grid_cells
 
-ORACLE_MODES = {MODE_WEAK: "weak", MODE_STRICT: "strict", MODE_WEAK_STRICT: "weak-strict"}
+WEAK = DominanceMode.WEAK
+STRICT = DominanceMode.STRICT
+WRS = DominanceMode.WEAK_REQUIRE_STRICT
+# Each mode with its name in the oracles.
+ORACLE_MODES = {mode: mode.value for mode in DominanceMode}
 
 # Entry palettes: bound 0 (every entry tied), bound 1 (tie-heavy), a wider
 # integer range, and non-integer rationals.
@@ -97,17 +97,17 @@ def test_mask_tables_are_python_ints_beyond_64_actions():
 def test_mask_dominates_modes():
     # ge on all three bits, gt on bit 1 only
     ge, gt = 0b111, 0b010
-    assert mask_dominates(ge, gt, 0b101, MODE_WEAK)
-    assert not mask_dominates(ge, gt, 0b101, MODE_WEAK_STRICT)
-    assert mask_dominates(ge, gt, 0b110, MODE_WEAK_STRICT)
-    assert mask_dominates(ge, gt, 0b010, MODE_STRICT)
-    assert not mask_dominates(ge, gt, 0b011, MODE_STRICT)
+    assert mask_dominates(ge, gt, 0b101, WEAK)
+    assert not mask_dominates(ge, gt, 0b101, WRS)
+    assert mask_dominates(ge, gt, 0b110, WRS)
+    assert mask_dominates(ge, gt, 0b010, STRICT)
+    assert not mask_dominates(ge, gt, 0b011, STRICT)
     # The same rule applies elementwise to numpy arrays of masks.
     restrictions = np.array([0b101, 0b110, 0b010, 0b011, 0b000])
     expected = {
-        MODE_WEAK: [True, True, True, True, True],
-        MODE_STRICT: [False, False, True, False, True],
-        MODE_WEAK_STRICT: [False, True, True, True, False],
+        WEAK: [True, True, True, True, True],
+        STRICT: [False, False, True, False, True],
+        WRS: [False, True, True, True, False],
     }
     for mode, want in expected.items():
         got = mask_dominates(np.int64(ge), np.int64(gt), restrictions, mode)
@@ -116,7 +116,7 @@ def test_mask_dominates_modes():
 
 
 def test_grid_shape_and_empty_masks(a2):
-    gsp, minimal = saddle_grids(a2, MODE_WEAK)
+    gsp, minimal = saddle_grids(a2, WEAK)
     assert gsp.shape == (8, 8)
     assert not gsp[0].any() and not gsp[:, 0].any()
     # minimal cells are GSP cells
@@ -147,7 +147,8 @@ def test_grids_match_oracles(game):
 # Products n + m = 2, 5, 6, 7 and 12: a partial word, exactly one word, two
 # words, and many.
 @pytest.mark.parametrize("rows, cols", [(1, 1), (2, 3), (3, 3), (3, 4), (6, 6)])
-@pytest.mark.parametrize("mode", sorted(ORACLE_MODES))
+# The enum is not orderable; ids are the modes' positions in it.
+@pytest.mark.parametrize("mode", list(ORACLE_MODES), ids=["0", "1", "2"])
 def test_word_boundary_sizes(rows, cols, mode):
     cells = 1 << (rows + cols)
     for seed in range(3):
@@ -190,10 +191,10 @@ def test_lopsided_games_marked_in_chunks(rows, cols):
         assert set((col_masks if cols == 1 else row_masks).tolist()) == {1}
         return (row_masks if cols == 1 else col_masks).tolist()
 
-    gsp, minimal = packed_grids(game, MODE_WEAK)
+    gsp, minimal = packed_grids(game, WEAK)
     assert len(long_masks(gsp)) == 2**16 - 2 ** (16 - len(best))
     assert long_masks(minimal) == [1 << i for i in best]
-    for mode in (MODE_STRICT, MODE_WEAK_STRICT):
+    for mode in (STRICT, WRS):
         _, minimal = packed_grids(game, mode)
         assert long_masks(minimal) == [sum(1 << i for i in best)]
 
@@ -215,19 +216,42 @@ def test_grid_budget_checked_before_allocation(monkeypatch):
     for rows, cols in within:
         game = new_game(rows, cols, [0] * (rows * cols))
         with pytest.raises(Reached):
-            kernels.saddle_grids(game, MODE_WEAK, dominance_mask_tables(game))
+            kernels.saddle_grids(game, WEAK, dominance_mask_tables(game))
     for rows, cols in over:
         game = new_game(rows, cols, [0] * (rows * cols))
         with pytest.raises(CapacityError, match=f"2\\^{rows + cols} bits"):
-            kernels.saddle_grids(game, MODE_WEAK, dominance_mask_tables(game))
+            kernels.saddle_grids(game, WEAK, dominance_mask_tables(game))
     # An analysis checks the budget before it builds the tables as well.
     monkeypatch.setattr(kernels, "dominance_mask_tables", unreachable)
     for rows, cols in within:
         with pytest.raises(Reached):
-            GameAnalysis(new_game(rows, cols, [0] * (rows * cols))).grids(DominanceMode.WEAK)
+            GameAnalysis(new_game(rows, cols, [0] * (rows * cols))).grids(WEAK)
     for rows, cols in over:
         with pytest.raises(CapacityError, match=f"2\\^{rows + cols} bits"):
-            GameAnalysis(new_game(rows, cols, [0] * (rows * cols))).grids(DominanceMode.WEAK)
+            GameAnalysis(new_game(rows, cols, [0] * (rows * cols))).grids(WEAK)
+
+
+# Peak RSS growth of a weak enumeration in a fresh process, in KiB
+# (`ru_maxrss` on Linux), over its peak after import and generation.
+RSS_PROBE = """
+import resource
+from saddles import DominanceMode, GeneratorConfig, GeneratorKind, enumerate_saddles, generate
+from saddles import kernels
+game = generate(GeneratorConfig(GeneratorKind.UNIFORM_INT, 14, 14, 3, 1))
+base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+enumerate_saddles(game, DominanceMode.WEAK)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - base)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
+def test_grid_build_peak_memory():
+    # A 14x14 grid is 2^28 bits (32 MiB). A grid build holds at most three
+    # grid-sized buffers at once, so the peak grows by less than four grids;
+    # a fourth live grid would take it past. At 13x13 the non-dominator
+    # temporaries weigh as much as the grids, which hides the difference.
+    grid_kib = (1 << 28) // 8 // 1024
+    assert int(run_probe(RSS_PROBE)) < 4 * grid_kib
 
 
 # SHA-256 of packbits(gsp) + packbits(minimal) per mode (weak, strict,
@@ -280,7 +304,7 @@ GRID_DIGESTS = [
 @pytest.mark.parametrize("kind, rows, cols, bound, trial, digests", GRID_DIGESTS)
 def test_grid_digests_regression(kind, rows, cols, bound, trial, digests):
     game = generate(GeneratorConfig(kind, rows, cols, bound, trial_seed(11, trial)))
-    for mode, expected in zip((MODE_WEAK, MODE_STRICT, MODE_WEAK_STRICT), digests):
+    for mode, expected in zip((WEAK, STRICT, WRS), digests):
         gsp, minimal = saddle_grids(game, mode)
         payload = np.packbits(gsp).tobytes() + np.packbits(minimal).tobytes()
         assert hashlib.sha256(payload).hexdigest() == expected, mode

@@ -26,6 +26,7 @@ from saddles import (
     trial_seed,
 )
 
+from conftest import planted_saddle_entry
 from oracles import brute_saddles
 
 WEAK = DominanceMode.WEAK
@@ -127,9 +128,13 @@ def test_find_saddle_is_smallest_gsp():
 
 
 def test_find_saddle_beyond_guard():
-    # find_saddle builds no grid, so no grid budget applies to it.
-    g = generate(GeneratorConfig(GeneratorKind.UNIFORM_INT, 4, 14, 3, 5))
+    # find_saddle builds no grid, so no grid budget applies to it: a 16x16
+    # game has 2^32 products, which enumeration refuses.
+    g = new_game(16, 16, [planted_saddle_entry(r, c) for r in range(16) for c in range(16)])
+    with pytest.raises(CapacityError, match="2\\^32 bits"):
+        enumerate_saddles(g, WEAK)
     saddle = find_saddle(g, WEAK)
+    assert saddle == ActionProduct([2], [5])
     assert is_gsp(g, saddle, WEAK)
 
 
