@@ -19,8 +19,9 @@ It also times the exact LP layer, under ``lp``, on seeded uniform games of
 the shapes and bounds in `LP_WORKLOADS`, each figure per game over a batch of
 `LP_GAMES` games:
 
-* ``solve_standard_max_ms``: the simplex alone, on the shifted LP that
-  `equilibrium.game_value` solves;
+* ``packing_lp_ms``: the simplex (`simplex.solve_packing_lp`) alone, on the
+  positive integer matrix and right-hand side that `equilibrium.game_value`
+  builds, captured from one untimed call per game;
 * ``game_value_ms``: the public call, which builds and solves that LP.
 
 Under ``trial`` it times one campaign trial (`verify._run_trial`) with the
@@ -66,7 +67,6 @@ import sys
 import tempfile
 import time
 from collections import Counter
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -77,6 +77,7 @@ from saddles import (
     GeneratorConfig,
     GeneratorKind,
     TrialConfig,
+    equilibrium,
     game_value,
     format_game,
     generate,
@@ -89,7 +90,6 @@ from saddles.kernels import (
     dominance_mask_tables,
     saddle_grids,
 )
-from saddles.simplex import solve_standard_max
 from saddles.solver import _grid_products
 from saddles.verify import _run_trial
 
@@ -156,16 +156,24 @@ def lp_times(n, bound, seed, repeats):
         generate(GeneratorConfig(GeneratorKind.UNIFORM_INT, n, n, bound, seed + k))
         for k in range(LP_GAMES)
     ]
-    # The LP `game_value` solves: entries shifted positive, unit c and b.
+    # The LPs `game_value` hands to the simplex, captured from one call each.
     lps = []
-    for game in games:
-        shift = 1 - min(v for row in game.entries for v in row)
-        shifted = [[v + shift for v in row] for row in game.entries]
-        lps.append(([Fraction(1)] * n, shifted, [Fraction(1)] * n))
+    solve = equilibrium.solve_packing_lp
+
+    def captured(*lp):
+        lps.append(lp)
+        return solve(*lp)
+
+    equilibrium.solve_packing_lp = captured
+    try:
+        for game in games:
+            game_value(game)
+    finally:
+        equilibrium.solve_packing_lp = solve
 
     def solve_all():
         for lp in lps:
-            solve_standard_max(*lp)
+            solve(*lp)
 
     def value_all():
         for game in games:
@@ -175,7 +183,7 @@ def lp_times(n, bound, seed, repeats):
         "size": f"{n}x{n}",
         "bound": bound,
         "games": LP_GAMES,
-        "solve_standard_max_ms": median_ms(solve_all, repeats) / LP_GAMES,
+        "packing_lp_ms": median_ms(solve_all, repeats) / LP_GAMES,
         "game_value_ms": median_ms(value_all, repeats) / LP_GAMES,
     }
 
@@ -329,12 +337,12 @@ def main():
             + "".join(f" {row[key]:>8.2f}ms" for key, _ in columns)
         )
     doc["lp"] = []
-    print(f"\n{'lp':>6} {'bound':>6} {'simplex':>10} {'value':>10}")
+    print(f"\n{'lp':>6} {'bound':>6} {'packing':>10} {'value':>10}")
     for n, bound in LP_WORKLOADS:
         row = lp_times(n, bound, args.seed, args.repeats)
         doc["lp"].append(row)
         print(
-            f"{row['size']:>6} {bound:>6} {row['solve_standard_max_ms']:>8.3f}ms"
+            f"{row['size']:>6} {bound:>6} {row['packing_lp_ms']:>8.3f}ms"
             f" {row['game_value_ms']:>8.3f}ms"
         )
     doc["trial"] = []

@@ -14,7 +14,8 @@ import sys
 
 from .dominance import DominanceMode
 from .equilibrium import game_value, nash_equilibrium
-from .errors import MAX_GRID_BITS, CapacityError, GameInputError, PropertyViolationError
+from .errors import (
+    MAX_GRID_BITS, MAX_LP_CELLS, CapacityError, GameInputError, PropertyViolationError)
 from .game import ZeroSumGame, format_rational
 from .gamefile import parse_game
 from .generators import GeneratorConfig, GeneratorKind
@@ -183,13 +184,15 @@ def build_parser() -> argparse.ArgumentParser:
     budget = f"(at most {MAX_GRID_BITS.bit_length() - 1} actions in all)"
     add_game_command("enumerate", _enumerate, f"list all saddles {budget}")
     add_game_command(
-        "find", _find, "find the smallest saddle (builds no grid, so no size limit)"
+        "find", _find, "find the smallest saddle (no grid; the scan is exponential in "
+        "the smallest saddle's size and has no budget yet)",
     )
     add_game_command(
         "strict", _strict, f"the unique strict saddle {budget}", fixed_mode="strict"
     )
-    add_game_command("value", _value, "exact game value", fixed_mode="")
-    add_game_command("nash", _nash, "one exact Nash equilibrium", fixed_mode="")
+    lp_budget = f"(at most {MAX_LP_CELLS} LP cells, rows x (rows + cols + 1))"
+    add_game_command("value", _value, f"exact game value {lp_budget}", fixed_mode="")
+    add_game_command("nash", _nash, f"one exact Nash equilibrium {lp_budget}", fixed_mode="")
     add_game_command(
         "check", _check, f"interchangeability/equivalence verdict for one game {budget}"
     )

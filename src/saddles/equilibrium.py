@@ -2,17 +2,19 @@
 
 Everything is computed over rationals; `game_value` and `nash_equilibrium`
 share one exact LP solve, so the returned value and strategies are
-consistent by construction and verifiable with `is_nash`.
+consistent by construction and verifiable with `is_nash`. A game over the
+LP budget (`errors.MAX_LP_CELLS`) raises CapacityError before the solve.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
-from .errors import GameInputError
+from .errors import GameInputError, check_lp_budget
 from .game import ActionProduct, ZeroSumGame
-from .simplex import solve_standard_max
+from .simplex import solve_packing_lp
 
 
 @dataclass(frozen=True)
@@ -72,17 +74,21 @@ def pure_saddle_points(game: ZeroSumGame) -> tuple[PureSaddlePoint, ...]:
 
 
 def _solve_lp(game: ZeroSumGame):
-    # Shift entries positive so the normalized formulation applies, then
-    # maximize sum(u) s.t. (A + k) u <= 1, u >= 0; u rescales to the column
-    # strategy and the row constraints' duals to the row strategy.
-    shift = 1 - min(v for row in game.entries for v in row)
-    shifted = [[v + shift for v in row] for row in game.entries]
-    ones = [Fraction(1)] * game.cols
-    rhs = [Fraction(1)] * game.rows
-    total, u, duals = solve_standard_max(ones, shifted, rhs)
-    value = 1 / total - shift
-    col_strategy = tuple(ui / total for ui in u)
-    row_strategy = tuple(di / total for di in duals)
+    # The game LP, max sum(u) s.t. (A + 1 - low) u <= 1, u >= 0, with row i
+    # times d_i, the lcm of its denominators and low's: positive integers as
+    # short as the row's own. u / sum(u) is the column strategy,
+    # d_i * dual_i / sum(u) the row strategy, 1 / sum(u) - 1 + low the value.
+    check_lp_budget(game.rows, game.cols)
+    low = min(map(min, game.entries))
+    d = [lcm(low.denominator, *(v.denominator for v in row)) for row in game.entries]
+    P = []
+    for row, di in zip(game.entries, d):
+        k = di - low.numerator * (di // low.denominator)  # d_i * (1 - low)
+        P.append([v.numerator * (di // v.denominator) + k for v in row])
+    x, y, t, denom = solve_packing_lp(P, d)
+    value = Fraction((denom - t) * low.denominator + low.numerator * t, t * low.denominator)
+    col_strategy = tuple(Fraction(xj, t) for xj in x)
+    row_strategy = tuple(Fraction(di * yi, t) for di, yi in zip(d, y))
     return value, row_strategy, col_strategy
 
 

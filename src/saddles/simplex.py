@@ -1,62 +1,39 @@
-"""Dense exact primal simplex with Bland's anti-cycling rule, fraction-free.
+"""Exact primal simplex with Bland's rule for the one LP the package solves,
+max sum(u) s.t. P u <= b, u >= 0, with `P` and `b` positive integers: the
+game LP `(A + 1 - min A) u <= 1` with row `i` times `b_i`
+(`equilibrium._solve_lp`).
 
-Solves max c.x subject to M x <= b, x >= 0 with b >= 0. The slack basis is
-feasible because b >= 0, so no phase-1 is needed; Bland's rule guarantees
-termination.
+Every entry of `P` is positive, so `u = 0` is feasible (the slack basis
+starts the method, with no phase 1) and `u_j <= b_i / P[i][j]` (the LP is
+bounded, so every entering column has a row to pivot on). Bland's rule
+reads only the signs of the cost row and the order of the ratios
+`rhs / coef`, which scaling a row by a positive number leaves alone; so the
+pivots and results are those of the same method on the game LP over
+`Fraction`s.
 
-The tableau is kept as integers `T` over one common denominator `D`: the
-actual tableau is `T / D` (Edmonds 1967; Bareiss 1968). Each constraint row
-is scaled by the lcm of its own denominators, `b_i` included, and the cost
-row by the lcm of `c`'s; `D` starts at 1. A pivot on `p = T[r][e]` leaves
-row `r` as it is, replaces every other row `i` by
-`(T[i] * p - T[i][e] * T[r]) // D` and sets `D = p`. Every such division is
-exact, since each entry is a minor of the scaled starting tableau and `D` the
-minor of the current basis, and `D > 0` because pivots are positive. The
-entering rule reads only signs and the ratio test compares cross products,
-so the pivot sequence is that of the same method over `Fraction`s and the
-results are the same exact rationals, built as `Fraction`s only at the end.
+The tableau is integers `T` over one common denominator `D`, starting at 1:
+the actual tableau is `T / D` (Edmonds 1967; Bareiss 1968). A pivot on
+`p = T[r][e]` keeps row `r`, replaces every other row `i` by
+`(T[i] * p - T[i][e] * T[r]) // D` and sets `D = p`. Each division is exact,
+since each entry is a minor of the starting tableau and `D` that of the
+current basis, and `D > 0` because pivots are positive.
 """
 
-from __future__ import annotations
 
-from fractions import Fraction
-from math import lcm
+def solve_packing_lp(P, b):
+    """Maximize sum(u) s.t. P u <= b, u >= 0.
 
-from .errors import GameInputError
-
-
-class UnboundedError(RuntimeError):
-    pass
-
-
-def _scaled(values) -> tuple[list[int], int]:
-    """The integers `s * v` for the lcm `s` of the values' denominators."""
-    scale = lcm(*(v.denominator for v in values))
-    return [v.numerator * (scale // v.denominator) for v in values], scale
-
-
-def solve_standard_max(c, M, b):
-    """Maximize c.x s.t. M x <= b, x >= 0 (all Fractions, b >= 0).
-
-    Returns (value, x, duals): the optimum, a primal optimal point of length
-    len(c), and the dual optimal point of length len(b), all exact.
+    `P` is a list of rows of positive integers and `b` a list of positive
+    integers, one per row. Returns integers `(x, y, t, D)` of the optimal
+    tableau: the primal optimum is `x / D` (one entry per column of `P`),
+    the dual optimum `y / D` (one entry per row) and the optimum `t / D`,
+    with `t > 0`.
     """
-    n = len(M)
-    m = len(c)
-    if len(b) != n or any(bi < 0 for bi in b):
-        raise GameInputError("simplex needs one right-hand side b_i >= 0 per constraint")
-
-    # Rows: [structural | slack | rhs]; the cost row is last and its rhs
-    # holds -value (times its scale and D).
+    n, m = len(P), len(P[0])
+    # Rows: [structural | slack | rhs]; the cost row, last, holds -t as rhs.
     width = m + n
-    rows = []
-    row_scales = []
-    for i in range(n):
-        scaled, scale = _scaled([*M[i], b[i]])
-        rows.append(scaled[:m] + [int(k == i) for k in range(n)] + scaled[m:])
-        row_scales.append(scale)
-    cost, cost_scale = _scaled(c)
-    cost += [0] * (n + 1)
+    rows = [[*row, *(int(k == i) for k in range(n)), b[i]] for i, row in enumerate(P)]
+    cost = [1] * m + [0] * (n + 1)
     rows.append(cost)
     basis = list(range(m, width))
     denom = 1
@@ -79,8 +56,6 @@ def solve_standard_max(c, M, b):
             rhs = rows[pivot_row][width] * coef
             if lhs < rhs or (lhs == rhs and basis[i] < basis[pivot_row]):
                 pivot_row = i
-        if pivot_row is None:
-            raise UnboundedError("objective unbounded above")
 
         prow = rows[pivot_row]
         pivot = prow[entering]
@@ -96,12 +71,7 @@ def solve_standard_max(c, M, b):
         denom = pivot
         basis[pivot_row] = entering
 
-    x = [Fraction(0)] * m
+    values = [0] * width
     for i, var in enumerate(basis):
-        if var < m:
-            x[var] = Fraction(rows[i][width], denom)
-    value = Fraction(-cost[width], cost_scale * denom)
-    duals = [
-        Fraction(-cost[m + i] * row_scales[i], cost_scale * denom) for i in range(n)
-    ]
-    return value, x, duals
+        values[var] = rows[i][width]
+    return values[:m], [-v for v in cost[m:width]], -cost[width], denom

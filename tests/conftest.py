@@ -42,13 +42,19 @@ def planted_saddle_entry(r, c):
     return 3 if r == 2 else -3 if c == 5 else (r * c) % 7 - 3
 
 
+def checkout_env():
+    """The environment of a child interpreter that imports the saddles of
+    this checkout, from any working directory."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+
+
 def run_probe(code, *args):
     """stdout of `python -c code args...` in a fresh interpreter that imports
     the saddles of this checkout."""
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     result = subprocess.run(
-        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, check=True
+        [sys.executable, "-c", code, *args],
+        env=checkout_env(), capture_output=True, text=True, check=True,
     )
     return result.stdout
 

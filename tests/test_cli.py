@@ -6,7 +6,7 @@ import re
 import pytest
 
 from conftest import planted_saddle_entry, run_probe
-from saddles import kernels
+from saddles import equilibrium, kernels
 from saddles.cli import build_parser, main
 from saddles.report import ResultDocument, emit_result
 
@@ -159,7 +159,7 @@ def test_capacity_error_exit_code(capsys, tmp_path):
 
 
 def _unreachable(*args):
-    raise AssertionError("a grid was built")
+    raise AssertionError("refused work was started")
 
 
 @pytest.mark.parametrize(
@@ -189,6 +189,19 @@ def test_grid_budget_exit_code(capsys, monkeypatch, tmp_path, command, rows, col
         assert code == 2 and f"2^{rows + cols} bits" in captured.err
     else:
         assert code == 0 and "saddles (" in captured.out
+
+
+@pytest.mark.parametrize("command", ["value", "nash"])
+def test_lp_budget_exit_code(capsys, monkeypatch, tmp_path, command):
+    # 2 x 2497 fills the LP budget (2 * (2 + 2497 + 1) = 5,000 tableau cells)
+    # and is solved; one more column is refused before any tableau is built.
+    assert main([command, _game_file(tmp_path, 2, 2497, lambda r, c: (r + c) % 3)]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(equilibrium, "solve_packing_lp", _unreachable)
+    assert main([command, _game_file(tmp_path, 2, 2498, lambda r, c: (r + c) % 3)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "5002 tableau cells" in captured.err and "budget of 5000" in captured.err
 
 
 def test_find_answers_past_the_grid_budget(capsys, monkeypatch, tmp_path):

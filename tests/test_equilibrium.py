@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm, prod
 
 import pytest
 
@@ -13,6 +14,7 @@ from saddles import (
     PureSaddlePoint,
     embed_strategy,
     enumerate_saddles,
+    equilibrium,
     game_value,
     generate,
     is_nash,
@@ -196,3 +198,19 @@ def test_saddle_subgames_preserve_value(a1, a2, a3):
         value = game_value(game)
         for saddle in enumerate_saddles(game, DominanceMode.WEAK):
             assert game_value(game.subgame(saddle)) == value
+
+
+def test_lp_rows_keep_their_own_denominators(monkeypatch):
+    # Each LP row is scaled by the lcm of its own denominators and the least
+    # entry's, so its integers are as long as the row's, not the whole game's
+    # (one lcm for all 36 primes below would make every entry 60 digits long).
+    primes = [p for p in range(2, 152) if all(p % q for q in range(2, p))]
+    game = new_game(6, 6, [Fraction(1, p) for p in primes])
+    rows = [primes[6 * i : 6 * i + 6] for i in range(6)]
+    solve, seen = equilibrium.solve_packing_lp, []
+    monkeypatch.setattr(
+        equilibrium, "solve_packing_lp", lambda P, b: seen.append(b) or solve(P, b)
+    )
+    pair = nash_equilibrium(game)
+    assert seen == [[lcm(151, prod(row)) for row in rows]]
+    assert is_nash(game, pair)

@@ -1,104 +1,98 @@
-"""The exact LP: optimality certificates on random rational LPs, and digests
-of `value` and `nash --json` output on seeded games."""
+"""The exact LP: optimality certificates on random positive integer LPs, a
+layer-benchmark smoke run, and digests of `value` and `nash --json` output
+on seeded games."""
 
 import hashlib
+import json
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from saddles import GeneratorConfig, GeneratorKind, generate, new_game
 from saddles.cli import main
-from saddles.simplex import UnboundedError, solve_standard_max
+from saddles.simplex import solve_packing_lp
+
+from conftest import checkout_env
 
 F = Fraction
-# Non-integer rationals and zeros; positives outnumber negatives so that
-# positive column sums are quick to draw.
-ENTRIES = [F(v) for v in (-3, -1, 0, 0, 1, 1, 2, 3, 4)] + [
-    F(1, 3), F(-5, 2), F(2, 7), F(7, 4), F(-1, 6), F(5, 3)
-]
-# b_i = 0 makes degenerate pivots common.
-RHS = [F(0), F(0), F(1), F(1, 3), F(5, 2), F(2), F(7, 6)]
-ROW_SCALES = [F(1), F(2), F(1, 3)]
+ROOT = Path(__file__).resolve().parent.parent
 
 
-def _random_lp(rng, n, m):
-    """A bounded LP max c.x, M x <= b, x >= 0 with b >= 0.
+def _random_packing_lp(rng, n, m):
+    """A positive integer n x m matrix and right-hand side.
 
-    Every column of M has a positive sum, so y = t * (1, ..., 1) is dual
-    feasible for large t and the LP is bounded. With probability 0.3 the
-    last row is a positive multiple of the first (b included), which ties
-    their ratios in every ratio test they both enter.
+    Small entries tie often. With probability 0.3 the last row copies the
+    first, right-hand side included, which ties their ratios in every ratio
+    test they both enter and makes pivots degenerate; with probability 0.3
+    the last column is a multiple of the first.
     """
-    copy = n > 1 and rng.random() < 0.3
-    scale = rng.choice(ROW_SCALES)
-
-    def column():
-        col = [rng.choice(ENTRIES) for _ in range(n)]
-        if copy:
-            col[-1] = scale * col[0]
-        return col
-
-    cols = []
-    for _ in range(m):
-        col = column()
-        while sum(col) <= 0:
-            col = column()
-        cols.append(col)
-    M = [[cols[j][i] for j in range(m)] for i in range(n)]
-    b = [rng.choice(RHS) for _ in range(n)]
-    if copy:
-        b[-1] = scale * b[0]
-    c = [rng.choice(ENTRIES) for _ in range(m)]
-    return c, M, b
+    P = [[rng.randint(1, 4) for _ in range(m)] for _ in range(n)]
+    b = [rng.randint(1, 12) for _ in range(n)]
+    if n > 1 and rng.random() < 0.3:
+        P[-1], b[-1] = list(P[0]), b[0]
+    if m > 1 and rng.random() < 0.3:
+        factor = rng.randint(1, 3)
+        for row in P:
+            row[-1] = factor * row[0]
+    return P, b
 
 
-def _assert_certificate(c, M, b, value, x, y):
-    n, m = len(M), len(c)
+def _assert_certificate(P, b, x, y, t, D):
+    # Primal x / D and dual y / D feasible, with both objectives t / D.
+    n, m = len(P), len(P[0])
     assert len(x) == m and len(y) == n
-    assert all(type(v) is Fraction for v in (value, *x, *y))
+    assert all(type(v) is int for v in (*x, *y, t, D))
+    assert D > 0 and t > 0
     assert all(v >= 0 for v in x)
-    assert all(sum(M[i][j] * x[j] for j in range(m)) <= b[i] for i in range(n))
+    assert all(sum(P[i][j] * x[j] for j in range(m)) <= b[i] * D for i in range(n))
     assert all(v >= 0 for v in y)
-    assert all(sum(M[i][j] * y[i] for i in range(n)) >= c[j] for j in range(m))
-    assert sum(cj * xj for cj, xj in zip(c, x)) == value
-    assert sum(bi * yi for bi, yi in zip(b, y)) == value
+    assert all(sum(P[i][j] * y[i] for i in range(n)) >= D for j in range(m))
+    assert sum(x) == t == sum(bi * yi for bi, yi in zip(b, y))
 
 
-def test_certificates_on_random_rational_lps():
+def test_certificates_on_random_packing_lps():
     rng = random.Random(1968)
     for n in range(1, 9):
         for m in range(1, 9):
             for _ in range(4):
-                c, M, b = _random_lp(rng, n, m)
-                _assert_certificate(c, M, b, *solve_standard_max(c, M, b))
+                P, b = _random_packing_lp(rng, n, m)
+                _assert_certificate(P, b, *solve_packing_lp(P, b))
 
 
-def test_certificates_on_degenerate_lps():
-    # Every b_i is 0: each pivot is degenerate and every ratio ties at 0.
+def test_certificates_on_tied_lps():
+    # Every row is the same: each ratio test ties across all rows, and every
+    # pivot after the first is degenerate.
     rng = random.Random(1967)
     for n, m in ((2, 2), (3, 5), (6, 4), (8, 8)):
         for _ in range(5):
-            c, M, _ = _random_lp(rng, n, m)
-            b = [F(0)] * n
-            value, x, y = solve_standard_max(c, M, b)
-            assert value == 0
-            _assert_certificate(c, M, b, value, x, y)
+            row, bi = [rng.randint(1, 3) for _ in range(m)], rng.randint(1, 6)
+            P, b = [list(row) for _ in range(n)], [bi] * n
+            _assert_certificate(P, b, *solve_packing_lp(P, b))
 
 
-def test_known_optimum_with_rational_data():
-    # max x1 + 2 x2 s.t. x1 + x2 <= 5/2, (1/3) x1 + x2 <= 2: x = (3/4, 7/4).
-    value, x, y = solve_standard_max(
-        [F(1), F(2)], [[F(1), F(1)], [F(1, 3), F(1)]], [F(5, 2), F(2)]
-    )
-    assert (value, x, y) == (F(17, 4), [F(3, 4), F(7, 4)], [F(1, 2), F(3, 2)])
+def test_known_optimum():
+    # max u1 + u2 s.t. 2 u1 + u2 <= 5, u1 + 3 u2 <= 5: u = (2, 1), duals
+    # (2/5, 1/5), optimum 3. Bland's rule pivots on 2, then on 5, so the
+    # optimal tableau's denominator is 5.
+    assert solve_packing_lp([[2, 1], [1, 3]], [5, 5]) == ([10, 5], [2, 1], 15, 5)
 
 
-def test_unbounded_raises():
-    with pytest.raises(UnboundedError):
-        solve_standard_max([F(1)], [[F(-1)]], [F(1)])
-    with pytest.raises(UnboundedError):
-        solve_standard_max([F(1), F(1)], [[F(1, 2), F(-1)]], [F(3)])
+def test_layer_benchmark_runs(tmp_path):
+    # No other test runs the script, so a renamed import or key would go
+    # unnoticed until the next benchmark run.
+    out = tmp_path / "layers.json"
+    script = ROOT / "benchmarks" / "bench_enumerate.py"
+    argv = [sys.executable, str(script), "--sizes", "3", "--repeats", "1", "--out", str(out)]
+    run = subprocess.run(argv, cwd=tmp_path, capture_output=True, text=True,
+                         env=checkout_env())
+    assert run.returncode == 0, run.stderr
+    lp = json.loads(out.read_text())["lp"]
+    assert [row["size"] for row in lp] == ["5x5", "5x5", "8x8"]
+    assert all(row["packing_lp_ms"] > 0 and row["game_value_ms"] > 0 for row in lp)
 
 
 def _rational_game(seed, rows, cols):
