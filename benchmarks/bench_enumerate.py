@@ -29,9 +29,10 @@ four checks of the benchmark's campaign workload, on `TRIAL_GAMES` seeded
 uniform 5x5 games at each of `TRIAL_BOUNDS`:
 
 * ``trial_ms``: per trial, generation and all four checks;
-* ``tables_per_trial`` and ``grids_per_trial``: the calls of
-  `kernels.dominance_mask_tables` and `kernels.saddle_grids` per trial,
-  counted in one untimed pass.
+* ``tables_per_trial``, ``grids_per_trial`` and ``lps_per_trial``: the
+  calls of `kernels.dominance_mask_tables`, `kernels.saddle_grids` and
+  `simplex.solve_packing_lp` (through `equilibrium`) per trial, counted in
+  one untimed pass.
 
 Under ``startup`` it times fresh interpreters that import this checkout's
 `src/`, from spawn:
@@ -201,18 +202,23 @@ def trial_times(bound, seed, repeats):
             _run_trial((config, trial))
 
     builds = Counter()
-    originals = {name: getattr(kernels, name) for name in ("dominance_mask_tables", "saddle_grids")}
-    for name, func in originals.items():
+    counted_calls = (
+        (kernels, "dominance_mask_tables"),
+        (kernels, "saddle_grids"),
+        (equilibrium, "solve_packing_lp"),
+    )
+    originals = {(module, name): getattr(module, name) for module, name in counted_calls}
+    for (module, name), func in originals.items():
         def counted(*args, _name=name, _func=func):
             builds[_name] += 1
             return _func(*args)
 
-        setattr(kernels, name, counted)
+        setattr(module, name, counted)
     try:
         run_all()
     finally:
-        for name, func in originals.items():
-            setattr(kernels, name, func)
+        for (module, name), func in originals.items():
+            setattr(module, name, func)
     return {
         "size": "5x5",
         "bound": bound,
@@ -220,6 +226,7 @@ def trial_times(bound, seed, repeats):
         "trial_ms": median_ms(run_all, repeats) / TRIAL_GAMES,
         "tables_per_trial": builds["dominance_mask_tables"] / TRIAL_GAMES,
         "grids_per_trial": builds["saddle_grids"] / TRIAL_GAMES,
+        "lps_per_trial": builds["solve_packing_lp"] / TRIAL_GAMES,
     }
 
 
@@ -346,13 +353,14 @@ def main():
             f" {row['game_value_ms']:>8.3f}ms"
         )
     doc["trial"] = []
-    print(f"\n{'trial':>6} {'bound':>6} {'time':>10} {'tables':>7} {'grids':>6}")
+    print(f"\n{'trial':>6} {'bound':>6} {'time':>10} {'tables':>7} {'grids':>6} {'lps':>6}")
     for bound in TRIAL_BOUNDS:
         row = trial_times(bound, args.seed, args.repeats)
         doc["trial"].append(row)
         print(
             f"{row['size']:>6} {bound:>6} {row['trial_ms']:>8.3f}ms"
             f" {row['tables_per_trial']:>7.2f} {row['grids_per_trial']:>6.2f}"
+            f" {row['lps_per_trial']:>6.2f}"
         )
     doc["startup"] = startup = startup_times(args.seed, args.repeats)
     print(f"\n{'startup':>18} {'time':>10} {'numpy':>6}")

@@ -15,7 +15,8 @@ import sys
 from .dominance import DominanceMode
 from .equilibrium import game_value, nash_equilibrium
 from .errors import (
-    MAX_GRID_BITS, MAX_LP_CELLS, CapacityError, GameInputError, PropertyViolationError)
+    MAX_GRID_BITS, MAX_LP_BITS, MAX_LP_CELLS, CapacityError, GameInputError,
+    PropertyViolationError)
 from .game import ZeroSumGame, format_rational
 from .gamefile import parse_game
 from .generators import GeneratorConfig, GeneratorKind
@@ -190,7 +191,10 @@ def build_parser() -> argparse.ArgumentParser:
     add_game_command(
         "strict", _strict, f"the unique strict saddle {budget}", fixed_mode="strict"
     )
-    lp_budget = f"(at most {MAX_LP_CELLS} LP cells, rows x (rows + cols + 1))"
+    lp_budget = (
+        f"(at most {MAX_LP_CELLS} LP cells, rows x (rows + cols + 1), "
+        f"and {MAX_LP_BITS}-bit LP integers)"
+    )
     add_game_command("value", _value, f"exact game value {lp_budget}", fixed_mode="")
     add_game_command("nash", _nash, f"one exact Nash equilibrium {lp_budget}", fixed_mode="")
     add_game_command(

@@ -3,16 +3,17 @@
 Everything is computed over rationals; `game_value` and `nash_equilibrium`
 share one exact LP solve, so the returned value and strategies are
 consistent by construction and verifiable with `is_nash`. A game over the
-LP budget (`errors.MAX_LP_CELLS`) raises CapacityError before the solve.
+LP budgets (`errors.MAX_LP_CELLS`, `errors.MAX_LP_BITS`) raises
+CapacityError before the solve.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import ceil, lcm
 
-from .errors import GameInputError, check_lp_budget
+from .errors import MAX_LP_BITS, CapacityError, GameInputError, check_lp_budget
 from .game import ActionProduct, ZeroSumGame
 from .simplex import solve_packing_lp
 
@@ -73,6 +74,32 @@ def pure_saddle_points(game: ZeroSumGame) -> tuple[PureSaddlePoint, ...]:
     return tuple(out)
 
 
+def _row_scales(game: ZeroSumGame, low: Fraction) -> list[int]:
+    """d_i, the lcm of row i's denominators and low's, for every row.
+
+    Every entry of A + 1 - low is at most span = ceil(max - low) + 1, so the
+    bit lengths of row i's scaled entries are at most bits(d_i) + bits(span).
+    Raises CapacityError when their sum over rows passes MAX_LP_BITS; each
+    lcm grows one entry at a time under that check, so none grows far past
+    the budget first.
+    """
+    span_bits = (ceil(max(map(max, game.entries)) - low) + 1).bit_length()
+    d, bits = [], 0
+    for row in game.entries:
+        di = low.denominator
+        for v in row:
+            di = lcm(di, v.denominator)
+            if bits + di.bit_length() + span_bits > MAX_LP_BITS:
+                raise CapacityError(
+                    f"the exact LP of a {game.rows}x{game.cols} game needs integers over "
+                    f"the budget of {MAX_LP_BITS} bits ({len(str(1 << MAX_LP_BITS))} "
+                    "digits): the bit lengths of its rows' longest scaled entries sum past it"
+                )
+        d.append(di)
+        bits += di.bit_length() + span_bits
+    return d
+
+
 def _solve_lp(game: ZeroSumGame):
     # The game LP, max sum(u) s.t. (A + 1 - low) u <= 1, u >= 0, with row i
     # times d_i, the lcm of its denominators and low's: positive integers as
@@ -80,7 +107,7 @@ def _solve_lp(game: ZeroSumGame):
     # d_i * dual_i / sum(u) the row strategy, 1 / sum(u) - 1 + low the value.
     check_lp_budget(game.rows, game.cols)
     low = min(map(min, game.entries))
-    d = [lcm(low.denominator, *(v.denominator for v in row)) for row in game.entries]
+    d = _row_scales(game, low)
     P = []
     for row, di in zip(game.entries, d):
         k = di - low.numerator * (di // low.denominator)  # d_i * (1 - low)

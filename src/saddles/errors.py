@@ -9,8 +9,9 @@ class CapacityError(RuntimeError):
     """A resource budget was exceeded: saddle grids above the grid-bit budget
     (`MAX_GRID_BITS`, checked by `check_grid_budget` in this module), an exact
     LP above the tableau budget (`MAX_LP_CELLS`, checked by
-    `check_lp_budget`), or an exact result too long to print under the
-    integer-string limit."""
+    `check_lp_budget`) or above the integer-length budget (`MAX_LP_BITS`,
+    checked in `equilibrium`), or an exact result too long to print under
+    the integer-string limit."""
 
 
 class PropertyViolationError(RuntimeError):
@@ -62,3 +63,14 @@ def check_lp_budget(rows: int, cols: int) -> None:
             f"the exact LP of a {rows}x{cols} game needs {cells} tableau cells "
             f"(rows x (rows + cols + 1)), over the budget of {MAX_LP_CELLS}"
         )
+
+
+# Every tableau integer is a minor of the scaled matrix (Bareiss), so its bit
+# length is at most about the sum over rows of the bit length of the row's
+# longest scaled entry. This budget bounds that sum, and with it the length
+# of every integer the LP holds; `equilibrium` checks it before the LP is
+# built. At it `game_value` took 28 to 36 s at the widest 5,000-cell shapes
+# (10x489 to 35x106), 5.7 s at 49x49 and 0.08 s at 20x20 (2 CPUs). Campaign
+# games (at most 29 rows of integers below 2^62) need at most 1,856 bits,
+# the README's LP table (denominators up to 12) at most 868.
+MAX_LP_BITS = 2_048

@@ -160,9 +160,6 @@ class ZeroSumGame:
     def row_values(self, r: int) -> tuple[Fraction, ...]:
         return self.entries[r]
 
-    def col_values(self, c: int) -> tuple[Fraction, ...]:
-        return tuple(row[c] for row in self.entries)
-
     def full_product(self) -> ActionProduct:
         return ActionProduct(range(self.rows), range(self.cols))
 

@@ -20,7 +20,7 @@ import time
 from dataclasses import dataclass, replace
 
 from .dominance import DominanceMode
-from .equilibrium import embed_strategy, game_value, is_nash, nash_equilibrium
+from .equilibrium import embed_strategy, is_nash, nash_equilibrium
 from .errors import GameInputError, check_grid_budget
 from .game import ActionProduct, ZeroSumGame
 from .generators import (
@@ -75,7 +75,9 @@ class Violation:
 
 @dataclass(frozen=True)
 class InterchangeabilityVerdict:
-    game_digest: str
+    """A game's saddles under `mode` and whether every pair of them is
+    interchangeable and equivalent; it names no game, its caller holds it."""
+
     mode: DominanceMode
     saddles: SaddleSet
     interchange_ok: bool
@@ -123,7 +125,6 @@ def check_interchangeability(
             else:
                 witnesses.append((s1, s2, witness))
     return InterchangeabilityVerdict(
-        game_digest=game.digest(),
         mode=mode,
         saddles=saddles,
         interchange_ok=not any(v.claim == "interchangeability" for v in violations),
@@ -153,29 +154,25 @@ def check_distinct_uniqueness(subject: ZeroSumGame | GameAnalysis) -> bool:
 
 
 def check_nash_consistency(subject: ZeroSumGame | GameAnalysis) -> CheckVerdict:
-    """Every weak saddle preserves the game value and carries an equilibrium.
+    """Every weak saddle carries an equilibrium of the game, at its value.
 
-    For each saddle: the subgame's LP value must equal the full game's value
-    exactly, and the subgame equilibrium embedded into the full game must
-    still be an equilibrium there.
+    Each saddle's subgame equilibrium, embedded with zeros off the saddle,
+    must pass `is_nash` in the full game. That certifies the value too, so
+    the game's own LP is not solved: `is_nash` accepts (x, y) only if
+    max_r (A y)_r == x^T A y == min_c (x^T A)_c == v, the subgame's value;
+    x then guarantees the row player v and y holds it to v, so by the
+    minimax theorem v is the game's value.
     """
     analysis = analyze(subject)
     game = analysis.game
-    value = game_value(game)
     problems = []
     for saddle in enumerate_saddles(analysis, DominanceMode.WEAK):
         pair = nash_equilibrium(game.subgame(saddle))
-        if pair.value != value:
-            problems.append(
-                f"saddle {saddle.row_set}x{saddle.col_set} has value "
-                f"{pair.value}, game has {value}"
-            )
-            continue
         embedded = embed_strategy(pair, saddle, game.rows, game.cols)
         if not is_nash(game, embedded):
             problems.append(
-                f"embedded equilibrium of saddle {saddle.row_set}x{saddle.col_set} "
-                "is not an equilibrium of the full game"
+                f"equilibrium of saddle {saddle.row_set}x{saddle.col_set} "
+                f"(subgame value {pair.value}) is not an equilibrium of the game"
             )
     return CheckVerdict(ok=not problems, violations=tuple(problems))
 

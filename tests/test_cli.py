@@ -6,7 +6,7 @@ import re
 import pytest
 
 from conftest import planted_saddle_entry, run_probe
-from saddles import equilibrium, kernels
+from saddles import PropertyViolationError, equilibrium, kernels, trial_seed, verify
 from saddles.cli import build_parser, main
 from saddles.report import ResultDocument, emit_result
 
@@ -204,6 +204,34 @@ def test_lp_budget_exit_code(capsys, monkeypatch, tmp_path, command):
     assert "5002 tableau cells" in captured.err and "budget of 5000" in captured.err
 
 
+@pytest.mark.parametrize("command", ["value", "nash"])
+def test_lp_length_budget_exit_code(capsys, monkeypatch, tmp_path, command):
+    # Two integer rows spanning 2^1022 (1 + 1023 bits each) fill the 2,048-bit
+    # budget and are solved, and so is the longest campaign game: 29 rows at
+    # the largest --bound (29 * 64 bits). A span of 2^1023, or a row whose
+    # denominators' lcm passes the budget, is refused before any tableau is
+    # built, the latter after only the lcms that took it there.
+    at = 2**1022 - 1
+    assert main([command, _game_file(tmp_path, 2, 2, lambda r, c: at * (r != c))]) == 0
+    bound = 2**62 - 1
+    assert main([command, _game_file(tmp_path, 29, 1, lambda r, c: bound * (-1) ** r)]) == 0
+    capsys.readouterr()
+    over = 2**1023 - 1
+    monkeypatch.setattr(equilibrium, "solve_packing_lp", _unreachable)
+    lcms = []
+    lcm = equilibrium.lcm
+    monkeypatch.setattr(equilibrium, "lcm", lambda *a: lcms.append(a) or lcm(*a))
+    for path in (
+        _game_file(tmp_path, 2, 2, lambda r, c: over * (r != c)),
+        _game_file(tmp_path, 1, 100, lambda r, c: f"1/{2**200 + 2 * c + 1}"),
+    ):
+        assert main([command, path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "budget of 2048 bits" in captured.err
+    assert len(lcms) < 20
+
+
 def test_find_answers_past_the_grid_budget(capsys, monkeypatch, tmp_path):
     # `find` builds no grid, so a game that `enumerate` refuses still has
     # an answer.
@@ -301,8 +329,9 @@ cli.main(["verify", "--trials", "1", "--rows", "2", "--cols", "2", "--gen", "uni
 
 @pytest.mark.parametrize("command", ["value", "nash"])
 def test_result_over_integer_string_limit_exit_code(capsys, tmp_path, command):
-    # Two legal 4291-digit entries: the value 1/(1/a + 1/d) has about 8,580
-    # digits, which str() of an int refuses to print.
+    # Two legal 4291-digit entries: the value 1/(1/a + 1/d) would have about
+    # 8,580 digits, which str() of an int refuses to print, but the LP's
+    # integer-length budget refuses the game before it is solved.
     big = "1" + "0" * 4289
     path = tmp_path / "huge.game"
     path.write_text(f"2 2\n{big}1 0\n0 {big}3\n")
@@ -406,6 +435,31 @@ def test_verify_text_output(capsys):
     assert code == 0
     assert "confrontation_unique: 5 passed, 0 failed" in out
     assert "all checks passed" in out
+
+
+def test_verify_text_report_of_a_failing_check(capsys, monkeypatch):
+    monkeypatch.setattr(verify, "check_strict_uniqueness", lambda analysis: False)
+    code, out = run(
+        capsys,
+        "verify", "--trials", "3", "--rows", "3", "--cols", "3",
+        "--gen", "uniform", "--seed", "5", "--checks", "strict_unique",
+    )
+    assert code == 1
+    assert "strict_unique: 0 passed, 3 failed" in out
+    assert f"    first failure: trial 0 (seed {trial_seed(5, 0)})\n" in out
+    assert "    strict saddle not unique\n" in out
+    assert "VIOLATIONS FOUND (" in out
+
+
+def test_property_violation_exit_code(capsys, monkeypatch, a2_file):
+    def two_saddles(game):
+        raise PropertyViolationError("two strict saddles")
+
+    monkeypatch.setattr("saddles.cli.strict_saddle", two_saddles)
+    assert main(["strict", a2_file]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "property violation: two strict saddles\n"
 
 
 def test_verify_bad_check_token(capsys):

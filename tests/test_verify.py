@@ -1,7 +1,9 @@
 import json
 import multiprocessing
 import os
+import random
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 
@@ -13,12 +15,15 @@ from saddles import (
     GameInputError,
     GeneratorConfig,
     GeneratorKind,
+    MixedStrategyPair,
     TrialConfig,
     check_confrontation_uniqueness,
     check_subgame_restriction,
     check_nash_consistency,
     check_strict_uniqueness,
     check_interchangeability,
+    enumerate_saddles,
+    game_value,
     generate,
     new_game,
     run_trials,
@@ -37,7 +42,6 @@ def test_check_interchangeability_golden(a1, a3):
     assert verdict3.ok
     # 4 saddles -> 6 unordered pairs, each with a permutation witness
     assert len(verdict3.witnesses) == 6
-    assert verdict3.game_digest == a3.digest()
 
 
 def test_check_interchangeability_constant_game():
@@ -80,6 +84,74 @@ def test_nash_consistency_golden(a1, a2, a3):
     for game in (a1, a2, a3):
         verdict = check_nash_consistency(game)
         assert verdict.ok, verdict.violations
+
+
+def _value_games():
+    """Seeded games of every generator from 1x1 to 6x6 at bounds 1 to 3
+    (distinct games get the bound their shape needs on top), then games over
+    a rational palette up to 5x5."""
+    for kind in GeneratorKind:
+        square = kind in (GeneratorKind.CONFRONTATION, GeneratorKind.TOURNAMENT)
+        for rows in range(1, 7):
+            for cols in [rows] if square else range(1, 7):
+                for bound in (1, 2, 3):
+                    if kind is GeneratorKind.DISTINCT_INT:
+                        bound += rows * cols // 2
+                    seed = trial_seed(14, 100 * rows + 10 * cols + bound)
+                    yield generate(GeneratorConfig(kind, rows, cols, bound, seed))
+    rng = random.Random(14)
+    palette = [Fraction(v) for v in ("1/3", "-5/2", "0", "-1", "1", "2/7")]
+    for _ in range(100):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        yield new_game(rows, cols, rng.choices(palette, k=rows * cols))
+
+
+def test_weak_saddles_preserve_the_game_value():
+    # check_nash_consistency certifies this through is_nash and no longer
+    # compares values, so the comparison is asserted here on its own.
+    for game in _value_games():
+        value = game_value(game)
+        for saddle in enumerate_saddles(game, DominanceMode.WEAK):
+            assert game_value(game.subgame(saddle)) == value, game.to_text()
+
+
+@pytest.mark.parametrize("tamper", ["value", "strategy"])
+def test_nash_consistency_rejects_every_wrong_pair(monkeypatch, a1, tamper):
+    # Integer games whose value is not an integer: no pure strategy is
+    # optimal in any saddle's subgame, whose value is the game's, so a pure
+    # row strategy is as wrong as a value one too high.
+    games = [a1] + [
+        g
+        for g in (
+            generate(GeneratorConfig(GeneratorKind.UNIFORM_INT, 4, 4, 2, seed))
+            for seed in range(60)
+        )
+        if game_value(g).denominator > 1
+    ]
+    solve = verify.nash_equilibrium
+    declared = []
+
+    def wrong(subgame):
+        pair = solve(subgame)
+        if tamper == "value":
+            pair = MixedStrategyPair(pair.row_strategy, pair.col_strategy, pair.value + 1)
+        else:
+            pure = (1,) + (0,) * (subgame.rows - 1)
+            pair = MixedStrategyPair(pure, pair.col_strategy, pair.value)
+        declared.append(pair.value)
+        return pair
+
+    monkeypatch.setattr(verify, "nash_equilibrium", wrong)
+    assert len(games) > 10
+    for game in games:
+        declared.clear()
+        verdict = check_nash_consistency(game)
+        saddles = enumerate_saddles(game, DominanceMode.WEAK)
+        assert not verdict.ok
+        assert len(verdict.violations) == len(saddles) == len(declared)
+        for saddle, value, detail in zip(saddles, declared, verdict.violations):
+            assert f"saddle {saddle.row_set}x{saddle.col_set} " in detail
+            assert f"(subgame value {value})" in detail
 
 
 def test_subgame_restriction_golden(a1):
