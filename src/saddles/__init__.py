@@ -11,6 +11,7 @@ from .dominance import (
     DominanceMode,
     DominanceWitness,
     col_dominates,
+    iterated_elimination,
     row_dominates,
     set_dominates_cols,
     set_dominates_rows,
@@ -47,7 +48,6 @@ from .solver import (
     enumerate_saddles,
     find_saddle,
     is_gsp,
-    iterated_elimination,
     permutation_equivalent,
     strict_saddle,
 )

@@ -11,8 +11,11 @@ actions. Three flavours are supported:
   guarantees checked by the verify harness do not extend to it.
 
 The column player maximizes the negated matrix, so column dominance is row
-dominance with the two compared payoff sequences swapped; every row/column
-pair below is a thin wrapper over one implementation that takes the side.
+dominance with the two compared payoff sequences swapped. Every pair and set
+question goes through one implementation, `_set_dominates`, which takes the
+side, checks its index sets once per call and then compares payoffs; a pair
+is a set of one. Iterated elimination and the undominated actions live here
+too, on the one rule that identical rivals never eliminate each other.
 """
 
 from __future__ import annotations
@@ -21,8 +24,8 @@ import enum
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .errors import GameInputError
-from .game import ZeroSumGame
+from .errors import GameInputError, enum_from_token
+from .game import ActionProduct, ZeroSumGame
 
 
 class DominanceMode(enum.Enum):
@@ -32,13 +35,7 @@ class DominanceMode(enum.Enum):
 
     @classmethod
     def from_token(cls, token: str) -> "DominanceMode":
-        try:
-            return cls(token)
-        except ValueError:
-            raise GameInputError(
-                f"unknown dominance mode {token!r}; expected one of "
-                f"{[m.value for m in cls]}"
-            ) from None
+        return enum_from_token(cls, token, "dominance mode")
 
 
 # The members bound once: `find` tests tens of thousands of masks per game,
@@ -95,27 +92,32 @@ def _lines(game: ZeroSumGame, columns: bool, a1: int, a2: int, opponents):
     return [game.entry(a1, c) for c in opponents], [game.entry(a2, c) for c in opponents]
 
 
-def _axes(game: ZeroSumGame, columns: bool) -> tuple[int, str, int, str]:
-    # (own action count, own axis name, opponent count, opponent axis name)
-    if columns:
-        return game.cols, "column", game.rows, "row"
-    return game.rows, "row", game.cols, "column"
-
-
-def _action_dominates(game, columns, a1, a2, restriction, mode) -> bool:
-    own, own_axis, opp, opp_axis = _axes(game, columns)
-    opponents = _index_set(restriction, opp, opp_axis)
+def _set_dominates(game, columns, dominating, dominated, restriction, mode):
+    # Each index set is checked once. The restriction is checked only when a
+    # pair is compared: with no dominating or no dominated action the answer
+    # (None, or the vacuous empty witness) reads none of it.
+    shape, axes = (game.rows, game.cols), ("row", "column")
+    doms = _index_set(dominating, shape[columns], axes[columns])
+    targets = _index_set(dominated, shape[columns], axes[columns])
+    if not (doms and targets):
+        return None if targets else DominanceWitness({})
+    opponents = _index_set(restriction, shape[not columns], axes[not columns])
     if not opponents:
         raise GameInputError("dominance needs a nonempty restriction set")
-    _index_set((a1, a2), own, own_axis)
-    return _beats(*_lines(game, columns, a1, a2, opponents), mode)
+    mapping: dict[int, int] = {}
+    for a2 in targets:
+        found = (a1 for a1 in doms if _beats(*_lines(game, columns, a1, a2, opponents), mode))
+        if (a1 := next(found, None)) is None:
+            return None
+        mapping[a2] = a1
+    return DominanceWitness(mapping)
 
 
 def row_dominates(
     game: ZeroSumGame, r1: int, r2: int, col_set: Iterable[int], mode: DominanceMode
 ) -> bool:
     """Does row `r1` dominate row `r2` with respect to `col_set`?"""
-    return _action_dominates(game, False, r1, r2, col_set, mode)
+    return _set_dominates(game, False, (r1,), (r2,), col_set, mode) is not None
 
 
 def col_dominates(
@@ -126,20 +128,7 @@ def col_dominates(
     The column player prefers small matrix entries, so `c1` dominates when
     its entries are <= (resp. <) those of `c2` on the restriction rows.
     """
-    return _action_dominates(game, True, c1, c2, row_set, mode)
-
-
-def _set_dominates(game, columns, dominating, dominated, restriction, mode):
-    own, own_axis, _, _ = _axes(game, columns)
-    doms = _index_set(dominating, own, own_axis)
-    restriction = tuple(restriction)  # every pair test reads it; an iterator would run dry
-    mapping: dict[int, int] = {}
-    for a2 in _index_set(dominated, own, own_axis):
-        found = (a1 for a1 in doms if _action_dominates(game, columns, a1, a2, restriction, mode))
-        if (a1 := next(found, None)) is None:
-            return None
-        mapping[a2] = a1
-    return DominanceWitness(mapping)
+    return _set_dominates(game, True, (c1,), (c2,), row_set, mode) is not None
 
 
 def set_dominates_rows(
@@ -182,10 +171,10 @@ def _dominated_by_rival(game, columns, action, rivals, opponents, mode) -> bool:
 
 
 def _undominated(game: ZeroSumGame, columns: bool, mode: DominanceMode) -> tuple[int, ...]:
-    own, _, opp, _ = _axes(game, columns)
+    shape = (game.rows, game.cols)
+    own, opp = range(shape[columns]), range(shape[not columns])
     return tuple(
-        a for a in range(own)
-        if not _dominated_by_rival(game, columns, a, range(own), range(opp), mode)
+        a for a in own if not _dominated_by_rival(game, columns, a, own, opp, mode)
     )
 
 
@@ -197,3 +186,32 @@ def undominated_rows(game: ZeroSumGame, mode: DominanceMode) -> tuple[int, ...]:
 def undominated_cols(game: ZeroSumGame, mode: DominanceMode) -> tuple[int, ...]:
     """Column mirror of `undominated_rows`."""
     return _undominated(game, True, mode)
+
+
+def iterated_elimination(game: ZeroSumGame, mode: DominanceMode) -> ActionProduct:
+    """Fixpoint of alternately deleting dominated rows, then columns.
+
+    An action is deleted only when dominated by a remaining action that is
+    not identical to it on the remaining opponent actions, so duplicates
+    survive. Deletion is one at a time, lowest index first; rows go first in
+    every round. The result is a weak/strict GSP under those modes but need
+    not be minimal. Under WEAK_REQUIRE_STRICT a later column removal can
+    strip the strict witness of an earlier row removal, so the fixpoint is
+    only guaranteed to be a *weak* GSP.
+    """
+    alive = (list(range(game.rows)), list(range(game.cols)))
+    # Delete from one side until nothing there is dominated, then switch;
+    # stop once both sides in a row had nothing to delete.
+    columns, idle = False, 0
+    while idle < 2:
+        own, opponents = alive[columns], alive[not columns]
+        victim = next(
+            (a for a in own if _dominated_by_rival(game, columns, a, own, opponents, mode)),
+            None,
+        )
+        if victim is None:
+            columns, idle = not columns, idle + 1
+        else:
+            own.remove(victim)
+            idle = 0
+    return ActionProduct(*alive)

@@ -5,6 +5,17 @@ class GameInputError(ValueError):
     """Malformed input: bad dimensions, indices out of range, bad tokens."""
 
 
+def enum_from_token(kind, token: str, noun: str):
+    """The member of enum `kind` whose value is `token`; a GameInputError
+    naming `noun` and every accepted token otherwise."""
+    try:
+        return kind(token)
+    except ValueError:
+        raise GameInputError(
+            f"unknown {noun} {token!r}; expected one of {[m.value for m in kind]}"
+        ) from None
+
+
 class CapacityError(RuntimeError):
     """A resource budget was exceeded: saddle grids above the grid-bit budget
     (`MAX_GRID_BITS`, checked by `check_grid_budget` in this module), an exact

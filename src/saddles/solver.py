@@ -19,13 +19,7 @@ import functools
 import itertools
 from dataclasses import dataclass, field
 
-from .dominance import (
-    DominanceMode,
-    mask_dominates,
-    set_dominates_cols,
-    set_dominates_rows,
-    _dominated_by_rival,
-)
+from .dominance import DominanceMode, mask_dominates, set_dominates_cols, set_dominates_rows
 from .errors import PropertyViolationError, check_grid_budget
 from .game import ActionProduct, ZeroSumGame
 
@@ -96,9 +90,10 @@ class GameAnalysis:
     minimal) grids of each dominance mode on the first request for that
     mode. `enumerate_saddles`, `all_gsps`, `strict_saddle` and the `verify`
     checks take a game or its analysis, so the checks of one campaign trial
-    share it; `find_saddle`, `is_gsp` and `iterated_elimination` take only a
-    game. Nothing is cached beyond the analysis itself, which lives as long
-    as its caller keeps it.
+    share it; `find_saddle` and `is_gsp` take only a game, and so does
+    `dominance.iterated_elimination`, which needs no tables. Nothing is
+    cached beyond the analysis itself, which lives as long as its caller
+    keeps it.
     """
 
     game: ZeroSumGame
@@ -221,35 +216,6 @@ def find_saddle(game: ZeroSumGame, mode: DominanceMode) -> ActionProduct:
             f"find_saddle ended on a non-GSP product in game {game.digest()[:12]}"
         )
     return found
-
-
-def iterated_elimination(game: ZeroSumGame, mode: DominanceMode) -> ActionProduct:
-    """Fixpoint of alternately deleting dominated rows, then columns.
-
-    An action is deleted only when dominated by a remaining action that is
-    not identical to it on the remaining opponent actions, so duplicates
-    survive. Deletion is one at a time, lowest index first; rows go first in
-    every round. The result is a weak/strict GSP under those modes but need
-    not be minimal. Under WEAK_REQUIRE_STRICT a later column removal can
-    strip the strict witness of an earlier row removal, so the fixpoint is
-    only guaranteed to be a *weak* GSP.
-    """
-    alive = (list(range(game.rows)), list(range(game.cols)))
-    # Delete from one side until nothing there is dominated, then switch;
-    # stop once both sides in a row had nothing to delete.
-    columns, idle = False, 0
-    while idle < 2:
-        own, opponents = alive[columns], alive[not columns]
-        victim = next(
-            (a for a in own if _dominated_by_rival(game, columns, a, own, opponents, mode)),
-            None,
-        )
-        if victim is None:
-            columns, idle = not columns, idle + 1
-        else:
-            own.remove(victim)
-            idle = 0
-    return ActionProduct(*alive)
 
 
 def cross_products(

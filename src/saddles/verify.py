@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 from .dominance import DominanceMode
 from .equilibrium import embed_strategy, is_nash, nash_equilibrium
-from .errors import GameInputError, check_grid_budget
+from .errors import GameInputError, check_grid_budget, enum_from_token
 from .game import ActionProduct, ZeroSumGame
 from .generators import (
     SEED_MAX,
@@ -53,12 +53,7 @@ class CheckKind(enum.Enum):
 
     @classmethod
     def from_token(cls, token: str) -> "CheckKind":
-        try:
-            return cls(token)
-        except ValueError:
-            raise GameInputError(
-                f"unknown check {token!r}; expected one of {[k.value for k in cls]}"
-            ) from None
+        return enum_from_token(cls, token, "check")
 
 
 @dataclass(frozen=True)
