@@ -34,6 +34,15 @@ uniform 5x5 games at each of `TRIAL_BOUNDS`:
   `simplex.solve_packing_lp` (through `equilibrium`) per trial, counted in
   one untimed pass.
 
+Under ``equivalence`` it times `verify.check_interchangeability` on the
+cloned Latin squares of `LATIN_SIZES`: the k x k cyclic Latin square
+(i + j) mod k stacked over its reversed rows, a 2k x k game with 2^k weak
+saddles whose 2^(k-1) (2^k - 1) pairs are all equivalent. The grid is built
+once, before the warm-up, so each call is the pair loop: one permutation
+search (`solver.permutation_equivalent`) per pair. Each row gives the pair
+count and ``check_ms``, the median, with ``check_ms_quartiles``, the lower
+and upper quartiles of the ``--repeats`` calls.
+
 Under ``startup`` it times fresh interpreters that import this checkout's
 `src/`, from spawn:
 
@@ -75,14 +84,17 @@ import numpy as np
 from saddles import (
     CheckKind,
     DominanceMode,
+    GameAnalysis,
     GeneratorConfig,
     GeneratorKind,
     TrialConfig,
+    check_interchangeability,
     equilibrium,
     game_value,
     format_game,
     generate,
     kernels,
+    new_game,
 )
 from saddles.kernels import (
     _gsp_grid,
@@ -108,20 +120,26 @@ TRIAL_CHECKS = (
 )
 TRIAL_BOUNDS = (3, 1)
 TRIAL_GAMES = 20
+# k of the cloned Latin squares timed under ``equivalence``.
+LATIN_SIZES = (4, 5, 6)
 # The commands timed from spawn to exit: two that solve an LP and two that
 # build dominance tables (`enumerate` also its grids).
 STARTUP_COMMANDS = ("value", "nash", "find", "enumerate")
 IMPORT_PROBE = "import sys, saddles.cli; print('numpy' in sys.modules, flush=True)"
 
 
-def median_ms(func, repeats):
+def samples_ms(func, repeats):
     func()  # warm-up
     samples = []
     for _ in range(repeats):
         start = time.perf_counter()
         func()
-        samples.append(time.perf_counter() - start)
-    return statistics.median(samples) * 1e3
+        samples.append((time.perf_counter() - start) * 1e3)
+    return samples
+
+
+def median_ms(func, repeats):
+    return statistics.median(samples_ms(func, repeats))
 
 
 def layer_times(game, repeats):
@@ -227,6 +245,23 @@ def trial_times(bound, seed, repeats):
         "tables_per_trial": builds["dominance_mask_tables"] / TRIAL_GAMES,
         "grids_per_trial": builds["saddle_grids"] / TRIAL_GAMES,
         "lps_per_trial": builds["solve_packing_lp"] / TRIAL_GAMES,
+    }
+
+
+def equivalence_times(k, repeats):
+    rows = [[(i + j) % k for j in range(k)] for i in range(k)]
+    game = new_game(2 * k, k, [v for row in rows + rows[::-1] for v in row])
+    analysis = GameAnalysis(game)
+    verdict = check_interchangeability(analysis)
+    samples = samples_ms(lambda: check_interchangeability(analysis), repeats)
+    quartiles = statistics.quantiles(samples, n=4) if repeats > 1 else samples * 3
+    return {
+        "size": f"{2 * k}x{k}",
+        "k": k,
+        "saddles": len(verdict.saddles),
+        "pairs": len(verdict.witnesses),
+        "check_ms": quartiles[1],
+        "check_ms_quartiles": [quartiles[0], quartiles[2]],
     }
 
 
@@ -361,6 +396,16 @@ def main():
             f"{row['size']:>6} {bound:>6} {row['trial_ms']:>8.3f}ms"
             f" {row['tables_per_trial']:>7.2f} {row['grids_per_trial']:>6.2f}"
             f" {row['lps_per_trial']:>6.2f}"
+        )
+    doc["equivalence"] = []
+    print(f"\n{'latin':>6} {'saddles':>8} {'pairs':>6} {'q1':>10} {'median':>10} {'q3':>10}")
+    for k in LATIN_SIZES:
+        row = equivalence_times(k, args.repeats)
+        doc["equivalence"].append(row)
+        low, high = row["check_ms_quartiles"]
+        print(
+            f"{row['size']:>6} {row['saddles']:>8} {row['pairs']:>6}"
+            + "".join(f" {v:>8.1f}ms" for v in (low, row["check_ms"], high))
         )
     doc["startup"] = startup = startup_times(args.seed, args.repeats)
     print(f"\n{'startup':>18} {'time':>10} {'numpy':>6}")

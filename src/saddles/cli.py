@@ -15,8 +15,8 @@ import sys
 from .dominance import DominanceMode
 from .equilibrium import game_value, nash_equilibrium
 from .errors import (
-    MAX_GRID_BITS, MAX_LP_BITS, MAX_LP_CELLS, CapacityError, GameInputError,
-    PropertyViolationError)
+    MAX_GRID_BITS, MAX_LP_BITS, MAX_LP_CELLS, MAX_SADDLE_PAIRS, CapacityError,
+    GameInputError, PropertyViolationError)
 from .game import ZeroSumGame, format_rational
 from .gamefile import parse_game
 from .generators import GeneratorConfig, GeneratorKind
@@ -182,7 +182,8 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.set_defaults(func=_cmd_game, answer=answer)
 
     # Commands that enumerate build saddle grids, refused over the grid budget.
-    budget = f"(at most {MAX_GRID_BITS.bit_length() - 1} actions in all)"
+    actions = f"at most {MAX_GRID_BITS.bit_length() - 1} actions in all"
+    budget = f"({actions})"
     add_game_command("enumerate", _enumerate, f"list all saddles {budget}")
     add_game_command(
         "find", _find, "find the smallest saddle (no grid; the scan is exponential in "
@@ -198,7 +199,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_game_command("value", _value, f"exact game value {lp_budget}", fixed_mode="")
     add_game_command("nash", _nash, f"one exact Nash equilibrium {lp_budget}", fixed_mode="")
     add_game_command(
-        "check", _check, f"interchangeability/equivalence verdict for one game {budget}"
+        "check", _check, "interchangeability/equivalence verdict for one game "
+        f"({actions}, and at most {MAX_SADDLE_PAIRS} saddle pairs)",
     )
 
     verify = sub.add_parser(

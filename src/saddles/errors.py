@@ -21,8 +21,9 @@ class CapacityError(RuntimeError):
     (`MAX_GRID_BITS`, checked by `check_grid_budget` in this module), an exact
     LP above the tableau budget (`MAX_LP_CELLS`, checked by
     `check_lp_budget`) or above the integer-length budget (`MAX_LP_BITS`,
-    checked in `equilibrium`), or an exact result too long to print under
-    the integer-string limit."""
+    checked in `equilibrium`), more saddle pairs to compare than the pair
+    budget (`MAX_SADDLE_PAIRS`, checked in `verify.check_interchangeability`),
+    or an exact result too long to print under the integer-string limit."""
 
 
 class PropertyViolationError(RuntimeError):
@@ -85,3 +86,14 @@ def check_lp_budget(rows: int, cols: int) -> None:
 # games (at most 29 rows of integers below 2^62) need at most 1,856 bits,
 # the README's LP table (denominators up to 12) at most 868.
 MAX_LP_BITS = 2_048
+
+
+# `check_interchangeability` compares every pair of saddles, s(s-1)/2 of
+# them for s saddles, and `check` prints one witness per pair. On the 2k x k
+# cyclic Latin square stacked over its reversed rows (2^k saddles of k x k
+# subgames) the pair loop took 4.0 s at k = 7 (8,128 pairs, 0.49 ms each;
+# `check --json` 4.9 s from spawn to exit) and 24.6 s at k = 8 (32,640
+# pairs), 2 CPUs; pairs of saddles of 5x5 bound-1 campaign games take about
+# 18 us each. This budget admits k = 7 and refuses k = 8; it is checked
+# before any pair is compared.
+MAX_SADDLE_PAIRS = 1 << 13

@@ -228,66 +228,57 @@ def cross_products(
     )
 
 
-def _row_signature(game: ZeroSumGame, r: int):
-    return tuple(sorted(game.row_values(r)))
-
-
 def permutation_equivalent(
     a: ZeroSumGame, b: ZeroSumGame
 ) -> PermutationWitness | None:
     """A row/column permutation carrying `a` onto `b` entry-exactly, if any.
 
-    Backtracks over row assignments, pruning with sorted row-entry
-    signatures; columns are then matched greedily on exact column tuples.
-    Returns the first witness in lexicographic assignment order.
+    Backtracks over row assignments in lexicographic order: a's next row
+    goes to each free row of b in turn, lowest first. An assignment of a's
+    first k rows is kept only while two multisets agree: a's columns cut to
+    those k rows, and b's columns cut to the rows they are sent to. Every
+    witness passes this test at each of its prefixes, so no branch that
+    leads to one is cut, and the first full assignment reached is the first
+    that admits a column permutation at all. Equal multisets of column
+    prefixes give equal sorted rows, so no separate row test is needed; and
+    at a full assignment they give equal multisets of whole columns, so each
+    column of a, in order, goes to the lowest free equal column of b, which
+    always exists. The witness is thus the first in lexicographic row order,
+    with its greedy column match.
     """
     if a.rows != b.rows or a.cols != b.cols:
         return None
     if a.entry_multiset() != b.entry_multiset():
         return None
-
-    sig_b = [_row_signature(b, i) for i in range(b.rows)]
-    candidates = [
-        [i for i in range(b.rows) if sig_b[i] == _row_signature(a, r)]
-        for r in range(a.rows)
-    ]
-    return _assign_rows(a, b, candidates, [], [False] * b.rows)
+    # a's columns cut to its first k + 1 rows, sorted, for each k.
+    prefixes = [sorted(zip(*a.entries[: k + 1])) for k in range(a.rows)]
+    return _assign_rows(a, b, prefixes, [()] * b.cols, [], [False] * b.rows)
 
 
 # Module-level rather than nested closures: a recursive closure refers to
 # itself through its cell, so each call would leave a reference cycle (and
 # the games it holds) for the cyclic collector.
-def _assign_rows(a, b, candidates, row_perm, used):
+def _assign_rows(a, b, prefixes, columns, row_perm, used):
+    # `columns` holds b's columns cut to the rows in `row_perm`, in order.
     if len(row_perm) == a.rows:
-        cols = _match_columns(a, b, row_perm)
-        if cols is not None:
-            return PermutationWitness(tuple(row_perm), tuple(cols))
-        return None
-    for i in candidates[len(row_perm)]:
+        col_perm = []
+        for column in zip(*a.entries):
+            j2 = columns.index(column)
+            columns[j2] = None  # no longer free
+            col_perm.append(j2)
+        return PermutationWitness(tuple(row_perm), tuple(col_perm))
+    target = prefixes[len(row_perm)]
+    for i, row in enumerate(b.entries):
         if used[i]:
+            continue
+        extended = [column + (v,) for column, v in zip(columns, row)]
+        if sorted(extended) != target:
             continue
         used[i] = True
         row_perm.append(i)
-        witness = _assign_rows(a, b, candidates, row_perm, used)
+        witness = _assign_rows(a, b, prefixes, extended, row_perm, used)
         if witness is not None:
             return witness
         row_perm.pop()
         used[i] = False
     return None
-
-
-def _match_columns(a, b, row_perm):
-    used = [False] * b.cols
-    col_perm = []
-    for j in range(a.cols):
-        source = tuple(a.entry(i, j) for i in range(a.rows))
-        for j2 in range(b.cols):
-            if used[j2]:
-                continue
-            if all(source[i] == b.entry(row_perm[i], j2) for i in range(a.rows)):
-                used[j2] = True
-                col_perm.append(j2)
-                break
-        else:
-            return None
-    return col_perm

@@ -21,7 +21,13 @@ from dataclasses import dataclass, replace
 
 from .dominance import DominanceMode
 from .equilibrium import embed_strategy, is_nash, nash_equilibrium
-from .errors import GameInputError, check_grid_budget, enum_from_token
+from .errors import (
+    MAX_SADDLE_PAIRS,
+    CapacityError,
+    GameInputError,
+    check_grid_budget,
+    enum_from_token,
+)
 from .game import ActionProduct, ZeroSumGame
 from .generators import (
     SEED_MAX,
@@ -100,21 +106,30 @@ def check_interchangeability(
     Under weak (or strict) dominance any violation is a bug witness. The
     weak-require-strict variant is allowed here precisely because it breaks
     these properties; the verdict then documents the counterexample instead
-    of asserting.
+    of asserting. More than MAX_SADDLE_PAIRS pairs raise CapacityError
+    before any pair is compared.
     """
     analysis = analyze(subject)
     game = analysis.game
     saddles = enumerate_saddles(analysis, mode)
+    members = saddles.saddles
+    pairs = len(members) * (len(members) - 1) // 2
+    if pairs > MAX_SADDLE_PAIRS:
+        raise CapacityError(
+            f"{len(members)} saddles make {pairs} pairs to compare, "
+            f"over the budget of {MAX_SADDLE_PAIRS} saddle pairs"
+        )
+    # Each saddle with its subgame, built once for all its pairs.
+    subgames = [(s, game.subgame(s)) for s in members]
     violations: list[Violation] = []
     witnesses = []
-    members = saddles.saddles
-    for i, s1 in enumerate(members):
-        for s2 in members[i + 1 :]:
+    for i, (s1, sub1) in enumerate(subgames):
+        for s2, sub2 in subgames[i + 1 :]:
             for crossed in cross_products(s1, s2):
                 if crossed not in saddles:
                     violations.append(Violation("interchangeability", (s1, s2)))
                     break
-            witness = permutation_equivalent(game.subgame(s1), game.subgame(s2))
+            witness = permutation_equivalent(sub1, sub2)
             if witness is None:
                 violations.append(Violation("equivalence", (s1, s2)))
             else:

@@ -42,6 +42,15 @@ def planted_saddle_entry(r, c):
     return 3 if r == 2 else -3 if c == 5 else (r * c) % 7 - 3
 
 
+def cloned_latin_square(k):
+    """Text of the k x k cyclic Latin square (i + j) mod k stacked over its
+    own rows in reverse order: a 2k x k game whose 2^k weak saddles each
+    take one copy of every row, so all of them are pairwise equivalent."""
+    rows = [[(i + j) % k for j in range(k)] for i in range(k)]
+    body = "\n".join(" ".join(map(str, row)) for row in rows + rows[::-1])
+    return f"{2 * k} {k}\n{body}\n"
+
+
 def checkout_env():
     """The environment of a child interpreter that imports the saddles of
     this checkout, from any working directory."""

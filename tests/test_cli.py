@@ -5,7 +5,7 @@ import re
 
 import pytest
 
-from conftest import planted_saddle_entry, run_probe
+from conftest import cloned_latin_square, planted_saddle_entry, run_probe
 from saddles import PropertyViolationError, equilibrium, kernels, trial_seed, verify
 from saddles.cli import build_parser, main
 from saddles.report import ResultDocument, emit_result
@@ -230,6 +230,27 @@ def test_lp_length_budget_exit_code(capsys, monkeypatch, tmp_path, command):
         assert captured.out == ""
         assert "budget of 2048 bits" in captured.err
     assert len(lcms) < 20
+
+
+def test_check_pair_budget_exit_code(capsys, monkeypatch, tmp_path):
+    # The cloned Latin square has 2^k saddles. At k = 7 its 8,128 pairs fit
+    # the pair budget and every one is compared (here by a stub that finds no
+    # witness, so the verdict fails); at k = 8 its 32,640 pairs are refused
+    # before any pair is compared.
+    compared = []
+    monkeypatch.setattr(verify, "permutation_equivalent", lambda a, b: compared.append(a))
+    path = tmp_path / "latin7.game"
+    path.write_text(cloned_latin_square(7))
+    assert main(["check", str(path)]) == 1
+    assert len(compared) == 8128
+    capsys.readouterr()
+    monkeypatch.setattr(verify, "permutation_equivalent", _unreachable)
+    path.write_text(cloned_latin_square(8))
+    assert main(["check", str(path), "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "256 saddles make 32640 pairs" in captured.err
+    assert "budget of 8192 saddle pairs" in captured.err
 
 
 def test_find_answers_past_the_grid_budget(capsys, monkeypatch, tmp_path):

@@ -14,7 +14,7 @@ import json
 from saddles.cli import main
 from saddles.generators import GeneratorConfig, GeneratorKind, generate
 
-from conftest import A1_ENTRIES, A2_ENTRIES, A3_ENTRIES
+from conftest import A1_ENTRIES, A2_ENTRIES, A3_ENTRIES, cloned_latin_square
 
 
 def _text(rows):
@@ -73,3 +73,20 @@ def test_cli_transcript_digest(capsys, tmp_path):
     assert len(records) == 28 * 24
     payload = json.dumps(records).encode()
     assert hashlib.sha256(payload).hexdigest() == TRANSCRIPT_DIGEST
+
+
+# `check --json` on cloned_latin_square(5): 32 saddles, 496 pair witnesses.
+MANY_SADDLES_CHECK_DIGEST = (
+    "1853f7f897b0030860fe8aa53a5a728e635477a0a75e6b9048b2152c4961c923"
+)
+
+
+def test_check_digest_on_many_saddles(capsys, tmp_path):
+    # The transcript above pins the witnesses of small games only; this pins
+    # every witness of a game whose saddle pairs all tie on many witnesses.
+    path = tmp_path / "latin5.game"
+    path.write_text(cloned_latin_square(5))
+    assert main(["check", str(path), "--json"]) == 0
+    out = capsys.readouterr().out
+    assert len(json.loads(out)["verdicts"]["witnesses"]) == 496
+    assert hashlib.sha256(out.encode()).hexdigest() == MANY_SADDLES_CHECK_DIGEST

@@ -256,6 +256,18 @@ def _first_witness(a, b):
     return None
 
 
+def _cloned(g, rng, extra_rows, extra_cols):
+    # g with copies of random rows and then of random columns appended.
+    rows = list(range(g.rows)) + rng.choices(range(g.rows), k=extra_rows)
+    cols = list(range(g.cols)) + rng.choices(range(g.cols), k=extra_cols)
+    return new_game(len(rows), len(cols), [g.entry(r, c) for r in rows for c in cols])
+
+
+def _found(a, b):
+    witness = permutation_equivalent(a, b)
+    return None if witness is None else (witness.row_perm, witness.col_perm)
+
+
 def test_permutation_witness_is_the_first_in_order():
     # Bound-1 games are full of equal rows and columns, so many witnesses tie.
     rng = random.Random(77)
@@ -266,6 +278,32 @@ def test_permutation_witness_is_the_first_in_order():
         shuffled = new_game(n, m, [g.entry(rows[r], cols[c]) for r in range(n) for c in range(m)])
         witness = permutation_equivalent(g, shuffled)
         assert (witness.row_perm, witness.col_perm) == _first_witness(g, shuffled)
+    # Cloned rows and columns: every clone swaps with its original, so the
+    # first witness must win among many ties.
+    for trial in range(40):
+        base = generate(
+            GeneratorConfig(GeneratorKind.UNIFORM_INT, 2 + trial % 2, 2 + trial % 3, 2,
+                            trial_seed(406, trial))
+        )
+        g = _cloned(base, rng, 1 + trial % 2, 1 + trial % 3)
+        n, m = g.rows, g.cols
+        rows, cols = rng.sample(range(n), n), rng.sample(range(m), m)
+        shuffled = new_game(n, m, [g.entry(rows[r], cols[c]) for r in range(n) for c in range(m)])
+        assert _found(g, shuffled) == _first_witness(g, shuffled) is not None
+    # Equal entry multisets with no witness: the search backtracks to the end.
+    a, b = new_game(2, 2, [0, 1, 1, 0]), new_game(2, 2, [0, 1, 0, 1])
+    assert _found(a, b) is None and _first_witness(a, b) is None
+    # Entries dealt out again at random keep the multiset; a witness may or
+    # may not exist, and the search must agree with the reference either way.
+    absent = 0
+    for trial in range(60):
+        n, m = 2 + trial % 3, 2 + (trial // 3) % 3
+        g = generate(GeneratorConfig(GeneratorKind.UNIFORM_INT, n, m, 1, trial_seed(407, trial)))
+        dealt = new_game(n, m, rng.sample(g.entry_multiset(), n * m))
+        expected = _first_witness(g, dealt)
+        assert _found(g, dealt) == expected
+        absent += expected is None
+    assert 10 < absent < 60
 
 
 def test_permutation_equivalent_leaves_no_cyclic_garbage(a3):
