@@ -3,7 +3,9 @@
 On seeded uniform bound-3 games under weak dominance, times each layer of
 `kernels.saddle_grids` and of reading its answer:
 
-* ``tables_ms``: `dominance_mask_tables`, the exact comparison bitmasks;
+* ``tables_ms``: `dominance_mask_tables`, the exact comparison bitmasks,
+  ranking included: the game caches its ranks, so this call and
+  ``saddle_grids_ms`` get a fresh copy of the game each time;
 * ``nondominator_sets_ms``: the non-dominator set of every action for every
   opponent mask, both sides;
 * ``gsp_grid_ms``: the packed GSP grid over all 2^(rows+cols) products, from
@@ -88,6 +90,7 @@ from saddles import (
     GeneratorConfig,
     GeneratorKind,
     TrialConfig,
+    ZeroSumGame,
     check_interchangeability,
     equilibrium,
     game_value,
@@ -156,15 +159,21 @@ def layer_times(game, repeats):
         _non_dominators(row_ge, row_gt, n, col_masks, weak)
         _non_dominators(col_le, col_lt, m, row_masks, weak)
 
+    # One unranked copy of the game per call, warm-up included, made before
+    # the clock starts.
+    copies = iter([ZeroSumGame(game.entries) for _ in range(2 * (repeats + 1))])
+
+    def fresh_saddle_grids():
+        copy = next(copies)
+        return saddle_grids(copy, weak, dominance_mask_tables(copy))
+
     times = {
-        "tables_ms": median_ms(lambda: dominance_mask_tables(game), repeats),
+        "tables_ms": median_ms(lambda: dominance_mask_tables(next(copies)), repeats),
         "nondominator_sets_ms": median_ms(nondominator_sets, repeats),
         "gsp_grid_ms": median_ms(lambda: _gsp_grid(*tables, n, m, weak), repeats),
         "minimal_filter_ms": median_ms(lambda: _minimal_grid(gsp, n + m), repeats),
         "cell_extraction_ms": median_ms(lambda: _grid_products(minimal, game), repeats),
-        "saddle_grids_ms": median_ms(
-            lambda: saddle_grids(game, weak, dominance_mask_tables(game)), repeats
-        ),
+        "saddle_grids_ms": median_ms(fresh_saddle_grids, repeats),
     }
     times["gsp_closure_ms"] = times["gsp_grid_ms"] - times["nondominator_sets_ms"]
     return times

@@ -7,6 +7,7 @@ goes through floating point, so equality tests on payoffs are exact.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import sys
 from dataclasses import dataclass, field
@@ -157,9 +158,6 @@ class ZeroSumGame:
     def entry(self, r: int, c: int) -> Fraction:
         return self.entries[r][c]
 
-    def row_values(self, r: int) -> tuple[Fraction, ...]:
-        return self.entries[r]
-
     def full_product(self) -> ActionProduct:
         return ActionProduct(range(self.rows), range(self.cols))
 
@@ -208,8 +206,22 @@ class ZeroSumGame:
             if i != j
         )
 
+    @functools.cached_property
+    def values(self) -> tuple[Fraction, ...]:
+        """The distinct entries in ascending order."""
+        # Fractions are normalized, so (numerator, denominator) identifies a
+        # value and hashes far faster than the Fraction itself.
+        distinct = {(v.numerator, v.denominator): v for row in self.entries for v in row}
+        return tuple(sorted(distinct.values()))
+
+    @functools.cached_property
+    def ranks(self) -> tuple[tuple[int, ...], ...]:
+        """Each entry's index in `values`; ranks compare exactly as entries do."""
+        rank = {(v.numerator, v.denominator): i for i, v in enumerate(self.values)}
+        return tuple(tuple(rank[v.numerator, v.denominator] for v in r) for r in self.entries)
+
     def entry_multiset(self) -> tuple[Fraction, ...]:
-        return tuple(sorted(v for row in self.entries for v in row))
+        return tuple(self.values[i] for i in sorted(r for row in self.ranks for r in row))
 
     def to_text(self) -> str:
         """Canonical plain-text form: header line, then one line per row."""

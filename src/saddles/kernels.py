@@ -2,9 +2,9 @@
 
 Dominance is a purely ordinal notion: deciding whether one action dominates
 another w.r.t. a restriction set only ever compares two entries in the same
-row or column. The distinct rational entries are sorted once and replaced by
-their exact integer ranks; all comparisons are then made on those ranks and
-packed into bitmask tables:
+row or column. The game replaces its entries by their exact integer ranks
+once (`ZeroSumGame.ranks`, which order and tie exactly as the entries do);
+all comparisons are then made on those ranks and packed into bitmask tables:
 
 * ``row_ge[r1][r2]``: bitmask over columns c with entry(r1,c) >= entry(r2,c)
 * ``row_gt[r1][r2]``: same with strict >
@@ -65,21 +65,12 @@ def dominance_mask_tables(game: ZeroSumGame):
     Returns (row_ge, row_gt, col_le, col_lt) as nested lists; row masks have
     one bit per column, column masks one bit per row.
     """
-    # Entries are replaced by their exact ranks among the distinct values.
-    # Fractions are normalized, so (numerator, denominator) identifies a
-    # value and hashes far faster than the Fraction itself.
-    distinct = {(v.numerator, v.denominator): v for row in game.entries for v in row}
-    rank = {(v.numerator, v.denominator): i for i, v in enumerate(sorted(distinct.values()))}
-    ranks = np.array(
-        [[rank[v.numerator, v.denominator] for v in row] for row in game.entries],
-        dtype=np.int64,
-    )
-    by_col = ranks.T
-    return (
-        _pack(ranks[:, None] >= ranks[None]),
-        _pack(ranks[:, None] > ranks[None]),
-        _pack(by_col[:, None] <= by_col[None]),
-        _pack(by_col[:, None] < by_col[None]),
+    ranks = np.array(game.ranks, dtype=np.int64)
+    # Columns compare the other way round: their tables are -ranks.T's row tables.
+    return tuple(
+        _pack(compare(side[:, None], side[None]))
+        for side in (ranks, -ranks.T)
+        for compare in (np.greater_equal, np.greater)
     )
 
 

@@ -233,6 +233,8 @@ def permutation_equivalent(
 ) -> PermutationWitness | None:
     """A row/column permutation carrying `a` onto `b` entry-exactly, if any.
 
+    Equal entry multisets give both games the same `values`, so the search
+    reads only `ranks`: they compare as entries do, giving the same witness.
     Backtracks over row assignments in lexicographic order: a's next row
     goes to each free row of b in turn, lowest first. An assignment of a's
     first k rows is kept only while two multisets agree: a's columns cut to
@@ -251,24 +253,24 @@ def permutation_equivalent(
     if a.entry_multiset() != b.entry_multiset():
         return None
     # a's columns cut to its first k + 1 rows, sorted, for each k.
-    prefixes = [sorted(zip(*a.entries[: k + 1])) for k in range(a.rows)]
-    return _assign_rows(a, b, prefixes, [()] * b.cols, [], [False] * b.rows)
+    prefixes = [sorted(zip(*a.ranks[: k + 1])) for k in range(a.rows)]
+    return _assign_rows(a.ranks, b.ranks, prefixes, [()] * b.cols, [], [False] * b.rows)
 
 
 # Module-level rather than nested closures: a recursive closure refers to
 # itself through its cell, so each call would leave a reference cycle (and
-# the games it holds) for the cyclic collector.
+# the rank matrices it holds) for the cyclic collector.
 def _assign_rows(a, b, prefixes, columns, row_perm, used):
-    # `columns` holds b's columns cut to the rows in `row_perm`, in order.
-    if len(row_perm) == a.rows:
+    # `a`, `b`: rank matrices; `columns`: b's columns cut to `row_perm`, in order.
+    if len(row_perm) == len(a):
         col_perm = []
-        for column in zip(*a.entries):
+        for column in zip(*a):
             j2 = columns.index(column)
             columns[j2] = None  # no longer free
             col_perm.append(j2)
         return PermutationWitness(tuple(row_perm), tuple(col_perm))
     target = prefixes[len(row_perm)]
-    for i, row in enumerate(b.entries):
+    for i, row in enumerate(b):
         if used[i]:
             continue
         extended = [column + (v,) for column, v in zip(columns, row)]

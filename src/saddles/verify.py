@@ -121,12 +121,13 @@ def check_interchangeability(
         )
     # Each saddle with its subgame, built once for all its pairs.
     subgames = [(s, game.subgame(s)) for s in members]
+    saddle_set = set(members)  # `in saddles` would scan the tuple
     violations: list[Violation] = []
     witnesses = []
     for i, (s1, sub1) in enumerate(subgames):
         for s2, sub2 in subgames[i + 1 :]:
             for crossed in cross_products(s1, s2):
-                if crossed not in saddles:
+                if crossed not in saddle_set:
                     violations.append(Violation("interchangeability", (s1, s2)))
                     break
             witness = permutation_equivalent(sub1, sub2)

@@ -75,18 +75,20 @@ def test_cli_transcript_digest(capsys, tmp_path):
     assert hashlib.sha256(payload).hexdigest() == TRANSCRIPT_DIGEST
 
 
-# `check --json` on cloned_latin_square(5): 32 saddles, 496 pair witnesses.
-MANY_SADDLES_CHECK_DIGEST = (
-    "1853f7f897b0030860fe8aa53a5a728e635477a0a75e6b9048b2152c4961c923"
-)
+# `check --json` on cloned_latin_square(k): 2^k saddles, one witness per pair.
+MANY_SADDLES_CHECK_DIGESTS = {
+    5: (496, "1853f7f897b0030860fe8aa53a5a728e635477a0a75e6b9048b2152c4961c923"),
+    6: (2016, "7ac0af61aea78e456e803cb72611ccc561cca2b470dd129bf1fe2768935a6e13"),
+}
 
 
 def test_check_digest_on_many_saddles(capsys, tmp_path):
     # The transcript above pins the witnesses of small games only; this pins
-    # every witness of a game whose saddle pairs all tie on many witnesses.
-    path = tmp_path / "latin5.game"
-    path.write_text(cloned_latin_square(5))
-    assert main(["check", str(path), "--json"]) == 0
-    out = capsys.readouterr().out
-    assert len(json.loads(out)["verdicts"]["witnesses"]) == 496
-    assert hashlib.sha256(out.encode()).hexdigest() == MANY_SADDLES_CHECK_DIGEST
+    # every witness of games whose saddle pairs all tie on many witnesses.
+    for k, (pairs, digest) in MANY_SADDLES_CHECK_DIGESTS.items():
+        path = tmp_path / f"latin{k}.game"
+        path.write_text(cloned_latin_square(k))
+        assert main(["check", str(path), "--json"]) == 0
+        out = capsys.readouterr().out
+        assert len(json.loads(out)["verdicts"]["witnesses"]) == pairs
+        assert hashlib.sha256(out.encode()).hexdigest() == digest

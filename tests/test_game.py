@@ -1,7 +1,8 @@
+import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from saddles import (
@@ -125,6 +126,30 @@ def test_parse_rational_forms():
         parse_rational("1/-2")
     with pytest.raises(GameInputError):
         parse_rational("abc")
+
+
+@st.composite
+def tied_games(draw):
+    # Entries drawn from a short palette, so ties are common; the palette
+    # mixes small rationals with ones of 30-digit denominators.
+    palette = draw(st.lists(rationals | st.fractions(max_denominator=10**30), min_size=1,
+                            max_size=6))
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    flat = draw(st.lists(st.sampled_from(palette), min_size=rows * cols, max_size=rows * cols))
+    return new_game(rows, cols, flat)
+
+
+@given(tied_games())
+@example(new_game(2, 70, [0] * 70 + ["1/3"] * 69 + ["-1/3"]))
+@example(new_game(2, 2, [Fraction(1, 10**40), Fraction(-1, 10**40 + 1), 0, Fraction(1, 10**40)]))
+def test_ranks_order_and_tie_as_entries(game):
+    flat = [v for row in game.entries for v in row]
+    ranks = [i for row in game.ranks for i in row]
+    assert game.values == tuple(sorted(set(flat)))
+    assert [game.values[i] for i in ranks] == flat
+    for (v, i), (w, j) in itertools.product(zip(flat, ranks), repeat=2):
+        assert (v < w) == (i < j) and (v == w) == (i == j)
+    assert game.entry_multiset() == tuple(sorted(flat))
 
 
 def test_digest_depends_on_entries_only(a2):

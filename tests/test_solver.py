@@ -1,6 +1,7 @@
 import gc
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -208,6 +209,11 @@ def test_permutation_identity(a1):
 
 def test_permutation_absent_on_different_multisets():
     assert permutation_equivalent(new_game(1, 2, [0, 1]), new_game(1, 2, [1, 1])) is None
+    # Same rank pattern, different values: ranks are only comparable across
+    # games whose entry multisets agree.
+    swap = new_game(2, 2, [0, 1, 1, 0])
+    for other in ([0, 2, 2, 0], [0, "1/2", "1/2", 0]):
+        assert permutation_equivalent(swap, new_game(2, 2, other)) is None
 
 
 def test_permutation_absent_on_shape_mismatch():
@@ -263,9 +269,25 @@ def _cloned(g, rng, extra_rows, extra_cols):
     return new_game(len(rows), len(cols), [g.entry(r, c) for r in rows for c in cols])
 
 
-def _found(a, b):
+# Strictly increasing maps of the payoffs: the search may read only the order
+# of the entries, so each map must leave the answer as it is.
+INCREASING = (lambda v: 3 * v + Fraction(1, 7), lambda v: v**3)
+
+
+def _mapped(g, f):
+    return new_game(g.rows, g.cols, [f(v) for row in g.entries for v in row])
+
+
+def _witness(a, b):
     witness = permutation_equivalent(a, b)
     return None if witness is None else (witness.row_perm, witness.col_perm)
+
+
+def _found(a, b):
+    found = _witness(a, b)
+    for f in INCREASING:
+        assert _witness(_mapped(a, f), _mapped(b, f)) == found
+    return found
 
 
 def test_permutation_witness_is_the_first_in_order():
@@ -276,8 +298,7 @@ def test_permutation_witness_is_the_first_in_order():
         g = generate(GeneratorConfig(GeneratorKind.UNIFORM_INT, n, m, 1, trial_seed(405, trial)))
         rows, cols = rng.sample(range(n), n), rng.sample(range(m), m)
         shuffled = new_game(n, m, [g.entry(rows[r], cols[c]) for r in range(n) for c in range(m)])
-        witness = permutation_equivalent(g, shuffled)
-        assert (witness.row_perm, witness.col_perm) == _first_witness(g, shuffled)
+        assert _found(g, shuffled) == _first_witness(g, shuffled) is not None
     # Cloned rows and columns: every clone swaps with its original, so the
     # first witness must win among many ties.
     for trial in range(40):
