@@ -45,6 +45,14 @@ search (`solver.permutation_equivalent`) per pair. Each row gives the pair
 count and ``check_ms``, the median, with ``check_ms_quartiles``, the lower
 and upper quartiles of the ``--repeats`` calls.
 
+Under ``find`` it times `solver.find_saddle` under weak dominance, the scan
+of the benchmark's find workload, which builds no grid, on the batches of
+`FIND_WORKLOADS`: the uniform bound-3 7x7 games of 20 consecutive seeds
+from ``--seed`` (the games perfbench's find workload draws for those
+seeds), and one uniform bound-3 9x9 game of seed ``--seed``. Each row gives
+``find_ms`` per game, the median, with ``find_ms_quartiles``, the lower and
+upper quartiles of the ``--repeats`` calls.
+
 Under ``startup`` it times fresh interpreters that import this checkout's
 `src/`, from spawn:
 
@@ -93,6 +101,7 @@ from saddles import (
     ZeroSumGame,
     check_interchangeability,
     equilibrium,
+    find_saddle,
     game_value,
     format_game,
     generate,
@@ -125,6 +134,8 @@ TRIAL_BOUNDS = (3, 1)
 TRIAL_GAMES = 20
 # k of the cloned Latin squares timed under ``equivalence``.
 LATIN_SIZES = (4, 5, 6)
+# (size, games) of the batches timed under ``find``.
+FIND_WORKLOADS = ((7, 20), (9, 1))
 # The commands timed from spawn to exit: two that solve an LP and two that
 # build dominance tables (`enumerate` also its grids).
 STARTUP_COMMANDS = ("value", "nash", "find", "enumerate")
@@ -143,6 +154,12 @@ def samples_ms(func, repeats):
 
 def median_ms(func, repeats):
     return statistics.median(samples_ms(func, repeats))
+
+
+def quartiles_ms(func, repeats, per=1):
+    # (lower quartile, median, upper quartile) of the calls, each over `per`.
+    samples = [t / per for t in samples_ms(func, repeats)]
+    return statistics.quantiles(samples, n=4) if repeats > 1 else samples * 3
 
 
 def layer_times(game, repeats):
@@ -262,8 +279,7 @@ def equivalence_times(k, repeats):
     game = new_game(2 * k, k, [v for row in rows + rows[::-1] for v in row])
     analysis = GameAnalysis(game)
     verdict = check_interchangeability(analysis)
-    samples = samples_ms(lambda: check_interchangeability(analysis), repeats)
-    quartiles = statistics.quantiles(samples, n=4) if repeats > 1 else samples * 3
+    quartiles = quartiles_ms(lambda: check_interchangeability(analysis), repeats)
     return {
         "size": f"{2 * k}x{k}",
         "k": k,
@@ -271,6 +287,26 @@ def equivalence_times(k, repeats):
         "pairs": len(verdict.witnesses),
         "check_ms": quartiles[1],
         "check_ms_quartiles": [quartiles[0], quartiles[2]],
+    }
+
+
+def find_times(n, count, seed, repeats):
+    games = [
+        generate(GeneratorConfig(GeneratorKind.UNIFORM_INT, n, n, 3, seed + k))
+        for k in range(count)
+    ]
+
+    def find_all():
+        for game in games:
+            find_saddle(game, DominanceMode.WEAK)
+
+    low, median, high = quartiles_ms(find_all, repeats, per=count)
+    return {
+        "size": f"{n}x{n}",
+        "bound": 3,
+        "games": count,
+        "find_ms": median,
+        "find_ms_quartiles": [low, high],
     }
 
 
@@ -415,6 +451,16 @@ def main():
         print(
             f"{row['size']:>6} {row['saddles']:>8} {row['pairs']:>6}"
             + "".join(f" {v:>8.1f}ms" for v in (low, row["check_ms"], high))
+        )
+    doc["find"] = []
+    print(f"\n{'find':>6} {'games':>6} {'q1':>10} {'median':>10} {'q3':>10}")
+    for n, count in FIND_WORKLOADS:
+        row = find_times(n, count, args.seed, args.repeats)
+        doc["find"].append(row)
+        low, high = row["find_ms_quartiles"]
+        print(
+            f"{row['size']:>6} {count:>6}"
+            + "".join(f" {v:>8.1f}ms" for v in (low, row["find_ms"], high))
         )
     doc["startup"] = startup = startup_times(args.seed, args.repeats)
     print(f"\n{'startup':>18} {'time':>10} {'numpy':>6}")

@@ -91,9 +91,9 @@ MAX_LP_BITS = 2_048
 # `check_interchangeability` compares every pair of saddles, s(s-1)/2 of
 # them for s saddles, and `check` prints one witness per pair. On the 2k x k
 # cyclic Latin square stacked over its reversed rows (2^k saddles of k x k
-# subgames) the pair loop took 0.73 s at k = 7 (8,128 pairs, 0.09 ms each;
-# `check --json` 1.2 s from spawn to exit) and 4.2 s at k = 8 (32,640
-# pairs), 2 CPUs; the check of a 5x5 bound-1 campaign game takes about 46 us
-# per saddle pair, subgames included. This budget admits k = 7 and refuses
+# subgames) the pair loop took about 0.35 s at k = 7 (8,128 pairs, 0.04 ms
+# each; `check --json` 0.7 to 0.9 s from spawn to exit) and about 2 s at
+# k = 8 (32,640 pairs), 2 CPUs; the check of a 5x5 bound-1 campaign game
+# takes about 46 us per saddle pair, subgames included. This budget admits k = 7 and refuses
 # k = 8; it is checked before any pair is compared.
 MAX_SADDLE_PAIRS = 1 << 13

@@ -4,7 +4,9 @@ A product R' x C' is a generalized saddle point (GSP) when R' dominates all
 outside rows w.r.t. C' and C' dominates all outside columns w.r.t. R'. A
 saddle is an inclusion-minimal GSP. `enumerate_saddles` finds them all by
 exhaustive scan (exponential, within the grid budget of
-`errors.check_grid_budget`); `find_saddle` returns one and needs no grid.
+`errors.check_grid_budget`); `find_saddle` returns one and needs no grid:
+it scans products smallest first and tests each by the grid's own rule,
+on non-dominator sets built once per opponent mask.
 A `GameAnalysis` holds one game's tables and grids, so several questions
 about the same game share one build of each.
 
@@ -163,35 +165,49 @@ def strict_saddle(subject: ZeroSumGame | GameAnalysis) -> ActionProduct:
     return found.saddles[0]
 
 
-def _products_by_size(n: int, m: int):
-    """Every product of an n x m game as (rows, cols) index tuples, ordered by
-    total size, then row count, then lexicographically."""
-    for total in range(2, n + m + 1):
-        for k in range(max(1, total - m), min(n, total - 1) + 1):
-            for rows in itertools.combinations(range(n), k):
-                for cols in itertools.combinations(range(m), total - k):
-                    yield rows, cols
+# What one `find_saddle` call keeps. Each side's memo holds up to 2^16
+# opponent masks, all of a 16-action opponent side, so it never evicts on
+# games up to 16x16. Each level's column masks are listed once on games of
+# up to 16 columns (at most C(16, 8) = 12,870 of them), else rebuilt for
+# each row set.
+_MEMO_MASKS = 1 << 16
+_LISTED_COLS = 16
 
 
-def _side_dominated(ge, gt, inside, inside_mask, count, opp_mask, mode) -> bool:
-    # Does every action outside `inside` have a dominator inside w.r.t. opp_mask?
-    for a2 in range(count):
-        if inside_mask >> a2 & 1:
-            continue
-        if not any(
-            mask_dominates(ge[a1][a2], gt[a1][a2], opp_mask, mode) for a1 in inside
-        ):
-            return False
-    return True
+def _non_dominator_sets(ge, gt, count: int, opp_mask: int, mode: DominanceMode):
+    """nd[j]: the actions other than j that do not dominate action j w.r.t.
+    `opp_mask`, as python-int bitmasks, exact for any number of actions.
 
-
-def _mask_is_gsp(tables, n: int, m: int, rows, cols, mode: DominanceMode) -> bool:
-    row_ge, row_gt, col_le, col_lt = tables
-    row_mask = sum(1 << r for r in rows)
-    col_mask = sum(1 << c for c in cols)
-    return _side_dominated(row_ge, row_gt, rows, row_mask, n, col_mask, mode) and (
-        _side_dominated(col_le, col_lt, cols, col_mask, m, row_mask, mode)
+    The predicate is the one `kernels._non_dominators` applies elementwise.
+    """
+    return tuple(
+        sum(
+            1 << i
+            for i in range(count)
+            if i != j and not mask_dominates(ge[i][j], gt[i][j], opp_mask, mode)
+        )
+        for j in range(count)
     )
+
+
+def _side_rule(ge, gt, count: int, mode: DominanceMode):
+    """The grid's side rule for one player, memoized per opponent mask.
+
+    A side S leaves some outside action undominated iff S lies inside some
+    action j's non-dominator set nd[j]; j is never in nd[j], so j is then
+    outside S. The returned function maps an opponent mask to the masks a
+    passing S must meet, the complements of its nd sets. Its memo lives as
+    long as the function and keeps at most `_MEMO_MASKS` (2^16) opponent
+    masks, each with `count` masks of `count` bits: at worst 2^16 x `count`
+    python ints, 16 x 2^16 of them for a 16-action side.
+    """
+    full = (1 << count) - 1
+
+    @functools.lru_cache(maxsize=_MEMO_MASKS)
+    def must_meet(opp_mask: int) -> tuple[int, ...]:
+        return tuple(full & ~nd for nd in _non_dominator_sets(ge, gt, count, opp_mask, mode))
+
+    return must_meet
 
 
 def find_saddle(game: ZeroSumGame, mode: DominanceMode) -> ActionProduct:
@@ -200,22 +216,51 @@ def find_saddle(game: ZeroSumGame, mode: DominanceMode) -> ActionProduct:
     Products are scanned in that order and the first GSP is returned. Every
     proper subproduct of it comes earlier in the order and is not a GSP, so
     it is inclusion-minimal. The full product is always a GSP, so the scan
-    ends. It builds no grid, so the grid budget does not apply: the scan is
+    ends. Each product is tested by the grid's own side rule: each side must
+    meet the complement of every non-dominator set w.r.t. the other side,
+    and those sets are built once per opponent mask (see `_side_rule`). The
+    column side goes first, since its sets depend only on the row set. It
+    builds no grid, so the grid budget does not apply: the scan is
     output-sensitive but exponential in the worst case.
     """
     from . import kernels
 
-    tables = kernels.dominance_mask_tables(game)
+    row_ge, row_gt, col_le, col_lt = kernels.dominance_mask_tables(game)
     n, m = game.rows, game.cols
-    for rows, cols in _products_by_size(n, m):
-        if _mask_is_gsp(tables, n, m, rows, cols, mode):
-            break
-    found = ActionProduct(rows, cols)
+    rows_meet = _side_rule(row_ge, row_gt, n, mode)
+    cols_meet = _side_rule(col_le, col_lt, m, mode)
+    found = _first_gsp(n, m, rows_meet, cols_meet)
     if not is_gsp(game, found, mode):
         raise PropertyViolationError(
             f"find_saddle ended on a non-GSP product in game {game.digest()[:12]}"
         )
     return found
+
+
+def _first_gsp(n: int, m: int, rows_meet, cols_meet) -> ActionProduct:
+    # Levels by total size, then row count; within a level rows, then cols,
+    # lexicographically, which is the order `combinations` gives the masks.
+    row_bits = [1 << r for r in range(n)]
+    col_bits = [1 << c for c in range(m)]
+    for total in range(2, n + m + 1):
+        for k in range(max(1, total - m), min(n, total - 1) + 1):
+            size = total - k
+            listed = (
+                list(map(sum, itertools.combinations(col_bits, size)))
+                if m <= _LISTED_COLS
+                else None
+            )
+            for row_mask in map(sum, itertools.combinations(row_bits, k)):
+                col_outs = cols_meet(row_mask)
+                # A listed level is never empty, so `or` rebuilds only unlisted ones.
+                for col_mask in listed or map(sum, itertools.combinations(col_bits, size)):
+                    if all(col_mask & out for out in col_outs) and all(
+                        row_mask & out for out in rows_meet(col_mask)
+                    ):
+                        return ActionProduct(
+                            _mask_to_indices(row_mask, n), _mask_to_indices(col_mask, m)
+                        )
+    raise PropertyViolationError("find_saddle scanned every product and found no GSP")
 
 
 def cross_products(
@@ -233,8 +278,11 @@ def permutation_equivalent(
 ) -> PermutationWitness | None:
     """A row/column permutation carrying `a` onto `b` entry-exactly, if any.
 
-    Equal entry multisets give both games the same `values`, so the search
-    reads only `ranks`: they compare as entries do, giving the same witness.
+    The games must have equal entry multisets. That is tested as equal
+    `values` and equal sorted ranks, which rebuild each multiset as
+    `values[rank]`, in integers. With equal `values` each entry has the same
+    rank in both games, so the search reads only `ranks`: they compare as
+    entries do, giving the same witness.
     Backtracks over row assignments in lexicographic order: a's next row
     goes to each free row of b in turn, lowest first. An assignment of a's
     first k rows is kept only while two multisets agree: a's columns cut to
@@ -250,7 +298,8 @@ def permutation_equivalent(
     """
     if a.rows != b.rows or a.cols != b.cols:
         return None
-    if a.entry_multiset() != b.entry_multiset():
+    sorted_a, sorted_b = (sorted(itertools.chain(*game.ranks)) for game in (a, b))
+    if a.values != b.values or sorted_a != sorted_b:
         return None
     # a's columns cut to its first k + 1 rows, sorted, for each k.
     prefixes = [sorted(zip(*a.ranks[: k + 1])) for k in range(a.rows)]

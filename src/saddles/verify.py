@@ -42,7 +42,6 @@ from .solver import (
     SaddleSet,
     all_gsps,
     analyze,
-    cross_products,
     enumerate_saddles,
     is_gsp,
     permutation_equivalent,
@@ -121,15 +120,15 @@ def check_interchangeability(
         )
     # Each saddle with its subgame, built once for all its pairs.
     subgames = [(s, game.subgame(s)) for s in members]
-    saddle_set = set(members)  # `in saddles` would scan the tuple
+    # The saddles as (rows, cols) keys: each pair's `cross_products` are
+    # looked up without building them.
+    keys = {(s.row_set, s.col_set) for s in members}
     violations: list[Violation] = []
     witnesses = []
     for i, (s1, sub1) in enumerate(subgames):
         for s2, sub2 in subgames[i + 1 :]:
-            for crossed in cross_products(s1, s2):
-                if crossed not in saddle_set:
-                    violations.append(Violation("interchangeability", (s1, s2)))
-                    break
+            if (s1.row_set, s2.col_set) not in keys or (s2.row_set, s1.col_set) not in keys:
+                violations.append(Violation("interchangeability", (s1, s2)))
             witness = permutation_equivalent(sub1, sub2)
             if witness is None:
                 violations.append(Violation("equivalence", (s1, s2)))

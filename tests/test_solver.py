@@ -26,6 +26,7 @@ from saddles import (
     strict_saddle,
     trial_seed,
 )
+from saddles import solver
 
 from conftest import planted_saddle_entry
 from oracles import brute_saddles
@@ -144,6 +145,60 @@ def test_find_saddle_final_check_raises(a1, monkeypatch):
     monkeypatch.setattr("saddles.solver.is_gsp", lambda game, product, mode: False)
     with pytest.raises(PropertyViolationError, match="non-GSP"):
         find_saddle(a1, WEAK)
+
+
+@st.composite
+def cloned_games(draw):
+    # A base matrix of bound-1 integers or non-integer rationals, with rows
+    # and columns drawn from it with repeats, so that clones are common.
+    palette = draw(st.sampled_from((("-1", "0", "1"), ("1/3", "-2.5", "0", "7/3"))))
+    base_rows, base_cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    base = draw(
+        st.lists(
+            st.lists(st.sampled_from(palette), min_size=base_cols, max_size=base_cols),
+            min_size=base_rows,
+            max_size=base_rows,
+        )
+    )
+    row_of = draw(st.lists(st.integers(0, base_rows - 1), min_size=1, max_size=4))
+    col_of = draw(st.lists(st.integers(0, base_cols - 1), min_size=1, max_size=4))
+    return new_game(len(row_of), len(col_of), [base[r][c] for r in row_of for c in col_of])
+
+
+@settings(max_examples=150, deadline=None)
+@given(cloned_games())
+def test_find_saddle_matches_oracle_order(game):
+    # The first saddle in (size, row count, rows, cols) order of the oracle's
+    # saddles, from 1x1 to 4x4, 1xN and Nx1 included.
+    def key(product):
+        rows, cols = product
+        return (len(rows) + len(cols), len(rows), rows, cols)
+
+    entries = [list(row) for row in game.entries]
+    for mode in (WEAK, STRICT, WRS):
+        expected = min(brute_saddles(entries, mode.value), key=key)
+        assert find_saddle(game, mode) == ActionProduct(*expected)
+
+
+@pytest.mark.parametrize("mode", [WEAK, STRICT, WRS], ids=["weak", "strict", "weak-strict"])
+def test_find_saddle_same_with_evicting_memo(mode, monkeypatch):
+    # One memo entry per side evicts on nearly every lookup, and no listed
+    # levels rebuild each column level per row set: the products must not move.
+    games = [
+        generate(
+            GeneratorConfig(GeneratorKind.UNIFORM_INT, 5, 5, 1 + t % 3, trial_seed(303, t))
+        )
+        for t in range(50)
+    ]
+    builds = []
+    build = solver._non_dominator_sets
+    monkeypatch.setattr(solver, "_non_dominator_sets", lambda *a: builds.append(a) or build(*a))
+    expected = [find_saddle(g, mode) for g in games]
+    kept = len(builds)
+    monkeypatch.setattr(solver, "_MEMO_MASKS", 1)
+    monkeypatch.setattr(solver, "_LISTED_COLS", 0)
+    assert [find_saddle(g, mode) for g in games] == expected
+    assert len(builds) - kept > kept  # the memo did evict
 
 
 # --- iterated elimination -------------------------------------------------
