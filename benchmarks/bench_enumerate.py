@@ -111,7 +111,7 @@ from saddles import (
 from saddles.kernels import (
     _gsp_grid,
     _minimal_grid,
-    _non_dominators,
+    non_dominators,
     dominance_mask_tables,
     saddle_grids,
 )
@@ -173,8 +173,8 @@ def layer_times(game, repeats):
     minimal = _minimal_grid(gsp, n + m)
 
     def nondominator_sets():
-        _non_dominators(row_ge, row_gt, n, col_masks, weak)
-        _non_dominators(col_le, col_lt, m, row_masks, weak)
+        non_dominators(row_ge, row_gt, n, col_masks, weak)
+        non_dominators(col_le, col_lt, m, row_masks, weak)
 
     # One unranked copy of the game per call, warm-up included, made before
     # the clock starts.

@@ -16,6 +16,8 @@ question goes through one implementation, `_set_dominates`, which takes the
 side, checks its index sets once per call and then compares payoffs; a pair
 is a set of one. Iterated elimination and the undominated actions live here
 too, on the one rule that identical rivals never eliminate each other.
+Everything here compares payoffs; the same rule on the packed comparison
+tables, `kernels.mask_dominates`, lives with the bitmask kernels.
 """
 
 from __future__ import annotations
@@ -38,28 +40,6 @@ class DominanceMode(enum.Enum):
         return enum_from_token(cls, token, "dominance mode")
 
 
-# The members bound once: `find` makes up to 2 x 127 x 42 = 10,668 mask
-# tests on a 7x7 game (10,584 is the median on perfbench's games), and
-# looking a member up on the enum class costs about as much as the test.
-_WEAK = DominanceMode.WEAK
-_STRICT = DominanceMode.STRICT
-_WEAK_STRICT = DominanceMode.WEAK_REQUIRE_STRICT
-
-
-def mask_dominates(ge_mask, gt_mask, restriction, mode: DominanceMode):
-    """Single dominance test against precomputed ge/gt masks. It branches on
-    the mode only, never on a mask, so it works on python ints and
-    elementwise on numpy arrays alike: it is the one predicate behind the
-    non-dominator sets of the grid (`kernels._non_dominators`, on arrays)
-    and of `find` (`solver._non_dominator_sets`, on python ints)."""
-    if mode is _STRICT:
-        return (restriction & ~gt_mask) == 0
-    weak = (restriction & ~ge_mask) == 0
-    if mode is _WEAK_STRICT:
-        return weak & ((restriction & gt_mask) != 0)
-    return weak
-
-
 @dataclass(frozen=True)
 class DominanceWitness:
     """For each dominated action index, one action index that dominates it."""
@@ -79,11 +59,11 @@ def _index_set(indices: Iterable[int], limit: int, axis: str) -> tuple[int, ...]
 
 def _beats(better, worse, mode: DominanceMode) -> bool:
     """Does payoff sequence `better` dominate `worse` entry by entry?"""
-    if mode is _STRICT:
+    if mode is DominanceMode.STRICT:
         return all(a > b for a, b in zip(better, worse))
     if not all(a >= b for a, b in zip(better, worse)):
         return False
-    return mode is _WEAK or any(a > b for a, b in zip(better, worse))
+    return mode is DominanceMode.WEAK or any(a > b for a, b in zip(better, worse))
 
 
 def _lines(game: ZeroSumGame, columns: bool, a1: int, a2: int, opponents):

@@ -220,9 +220,6 @@ class ZeroSumGame:
         rank = {(v.numerator, v.denominator): i for i, v in enumerate(self.values)}
         return tuple(tuple(rank[v.numerator, v.denominator] for v in r) for r in self.entries)
 
-    def entry_multiset(self) -> tuple[Fraction, ...]:
-        return tuple(self.values[i] for i in sorted(r for row in self.ranks for r in row))
-
     def to_text(self) -> str:
         """Canonical plain-text form: header line, then one line per row."""
         lines = [f"{self.rows} {self.cols}"]

@@ -26,6 +26,10 @@ halves above):
 * the minimality filter marks every product one action above a GSP, then
   closes the marks upward; the GSPs left unmarked are minimal.
 
+The grid and `find`'s scan (`solver._side_rule`) take their non-dominator
+sets from one function, `non_dominators`, over one bitmask dominance test,
+`mask_dominates`.
+
 This is the one module of the package that imports numpy at module level,
 and it is loaded when tables or grids are first built.
 """
@@ -34,7 +38,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dominance import DominanceMode, mask_dominates
+from .dominance import DominanceMode
 from .errors import check_grid_budget
 from .game import ZeroSumGame
 
@@ -74,13 +78,32 @@ def dominance_mask_tables(game: ZeroSumGame):
     )
 
 
-def _non_dominators(ge, gt, k, opps, mode):
-    # nd[j, i]: bitmask of the actions other than j that do not dominate
-    # action j w.r.t. opponent mask opps[i].
-    bits = (np.int32(1) << np.arange(k, dtype=np.int32))[:, None]
+def mask_dominates(ge_mask, gt_mask, restriction, mode: DominanceMode):
+    """Single dominance test against precomputed ge/gt masks. It branches on
+    the mode only, never on a mask, so it works on python ints and
+    elementwise on arrays of any integer dtype, object included: it is the
+    predicate behind `non_dominators`."""
+    if mode is DominanceMode.STRICT:
+        return (restriction & ~gt_mask) == 0
+    weak = (restriction & ~ge_mask) == 0
+    if mode is DominanceMode.WEAK_REQUIRE_STRICT:
+        return weak & ((restriction & gt_mask) != 0)
+    return weak
+
+
+def non_dominators(ge, gt, k, opps, mode):
+    """nd[j, i]: bitmask of the actions other than j that do not dominate
+    action j w.r.t. opponent mask opps[i].
+
+    `ge` and `gt` are one side's (k, k) mask tables as arrays. The bit
+    weights take their dtype, so int32 tables (the grid's) give int32 sets
+    and object tables of python ints (`find`'s) give exact python-int sets
+    at any number of actions.
+    """
+    bits = np.array([1 << i for i in range(k)], dtype=ge.dtype)[:, None]
     ok = mask_dominates(ge[:, :, None], gt[:, :, None], opps, mode)
     dom = np.bitwise_or.reduce(ok * bits[:, :, None], axis=0)
-    return ((1 << k) - 1) & ~dom & ~bits
+    return ((1 << k) - 1) ^ (dom | bits)
 
 
 def _spread(src, dst, b, upward):
@@ -122,7 +145,7 @@ def _bad_side(ge, gt, k, opp_size, rows_side, mode):
     shift = opp_size if rows_side else k
     for start in range(0, 1 << opp_size, _CHUNK):
         opps = np.arange(start, min(start + _CHUNK, 1 << opp_size), dtype=np.int32)
-        own = _non_dominators(ge, gt, k, opps, mode)
+        own = non_dominators(ge, gt, k, opps, mode)
         cells = (own << shift) | opps if rows_side else (opps << shift) | own
         bit = np.uint64(1) << (cells & 63).astype(np.uint64)
         np.bitwise_or.at(words, cells >> _WORD_SHIFT, bit)

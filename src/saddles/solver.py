@@ -6,7 +6,7 @@ saddle is an inclusion-minimal GSP. `enumerate_saddles` finds them all by
 exhaustive scan (exponential, within the grid budget of
 `errors.check_grid_budget`); `find_saddle` returns one and needs no grid:
 it scans products smallest first and tests each by the grid's own rule,
-on non-dominator sets built once per opponent mask.
+on non-dominator sets that the grid's kernel builds once per opponent mask.
 A `GameAnalysis` holds one game's tables and grids, so several questions
 about the same game share one build of each.
 
@@ -21,7 +21,7 @@ import functools
 import itertools
 from dataclasses import dataclass, field
 
-from .dominance import DominanceMode, mask_dominates, set_dominates_cols, set_dominates_rows
+from .dominance import DominanceMode, set_dominates_cols, set_dominates_rows
 from .errors import PropertyViolationError, check_grid_budget
 from .game import ActionProduct, ZeroSumGame
 
@@ -174,38 +174,30 @@ _MEMO_MASKS = 1 << 16
 _LISTED_COLS = 16
 
 
-def _non_dominator_sets(ge, gt, count: int, opp_mask: int, mode: DominanceMode):
-    """nd[j]: the actions other than j that do not dominate action j w.r.t.
-    `opp_mask`, as python-int bitmasks, exact for any number of actions.
-
-    The predicate is the one `kernels._non_dominators` applies elementwise.
-    """
-    return tuple(
-        sum(
-            1 << i
-            for i in range(count)
-            if i != j and not mask_dominates(ge[i][j], gt[i][j], opp_mask, mode)
-        )
-        for j in range(count)
-    )
-
-
 def _side_rule(ge, gt, count: int, mode: DominanceMode):
     """The grid's side rule for one player, memoized per opponent mask.
 
     A side S leaves some outside action undominated iff S lies inside some
     action j's non-dominator set nd[j]; j is never in nd[j], so j is then
-    outside S. The returned function maps an opponent mask to the masks a
+    outside S. The nd sets come from the grid's own `kernels.non_dominators`,
+    on object arrays of python ints, so they stay exact for any number of
+    actions. The returned function maps an opponent mask to the masks a
     passing S must meet, the complements of its nd sets. Its memo lives as
     long as the function and keeps at most `_MEMO_MASKS` (2^16) opponent
     masks, each with `count` masks of `count` bits: at worst 2^16 x `count`
     python ints, 16 x 2^16 of them for a 16-action side.
     """
+    import numpy as np
+
+    from . import kernels
+
+    ge, gt = np.array(ge, dtype=object), np.array(gt, dtype=object)
     full = (1 << count) - 1
 
     @functools.lru_cache(maxsize=_MEMO_MASKS)
     def must_meet(opp_mask: int) -> tuple[int, ...]:
-        return tuple(full & ~nd for nd in _non_dominator_sets(ge, gt, count, opp_mask, mode))
+        sets = kernels.non_dominators(ge, gt, count, np.array([opp_mask], dtype=object), mode)
+        return tuple(full & ~nd for nd in sets[:, 0])
 
     return must_meet
 

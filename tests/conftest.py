@@ -4,6 +4,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 from saddles import new_game
 
@@ -40,6 +41,25 @@ def planted_saddle_entry(r, c):
     if (r, c) == (2, 5):
         return 0
     return 3 if r == 2 else -3 if c == 5 else (r * c) % 7 - 3
+
+
+@st.composite
+def cloned_games(draw, max_size=4):
+    """A base matrix of bound-1 integers or non-integer rationals, with rows
+    and columns drawn from it with repeats, so that clones are common; both
+    the base and the game have 1 to `max_size` rows and columns."""
+    palette = draw(st.sampled_from((("-1", "0", "1"), ("1/3", "-2.5", "0", "7/3"))))
+    base_rows, base_cols = draw(st.integers(1, max_size)), draw(st.integers(1, max_size))
+    base = draw(
+        st.lists(
+            st.lists(st.sampled_from(palette), min_size=base_cols, max_size=base_cols),
+            min_size=base_rows,
+            max_size=base_rows,
+        )
+    )
+    row_of = draw(st.lists(st.integers(0, base_rows - 1), min_size=1, max_size=max_size))
+    col_of = draw(st.lists(st.integers(0, base_cols - 1), min_size=1, max_size=max_size))
+    return new_game(len(row_of), len(col_of), [base[r][c] for r in row_of for c in col_of])
 
 
 def cloned_latin_square(k):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import run_probe
+from conftest import cloned_games, run_probe
 from oracles import brute_is_gsp, brute_saddles
 from saddles import (
     CapacityError,
@@ -21,9 +21,8 @@ from saddles import (
     trial_seed,
 )
 from saddles import kernels
-from saddles.dominance import mask_dominates
 from saddles.errors import MAX_GRID_BITS
-from saddles.kernels import dominance_mask_tables, grid_cells
+from saddles.kernels import dominance_mask_tables, grid_cells, mask_dominates
 
 WEAK = DominanceMode.WEAK
 STRICT = DominanceMode.STRICT
@@ -113,6 +112,39 @@ def test_mask_dominates_modes():
         got = mask_dominates(np.int64(ge), np.int64(gt), restrictions, mode)
         assert got.tolist() == want, mode
         assert [bool(mask_dominates(ge, gt, int(r), mode)) for r in restrictions] == want
+
+
+@settings(max_examples=80, deadline=None)
+@given(cloned_games(max_size=5))
+@example(new_game(1, 5, ["0", "1/3", "0", "-2.5", "1/3"]))
+@example(new_game(5, 1, ["1", "0", "1", "-1", "1"]))
+@example(new_game(1, 1, ["-2.5"]))
+def test_non_dominators_same_on_int32_and_object_tables(game):
+    # For every opponent mask, the int32 and the object-array call agree with
+    # each other and with nd[j] built pair by pair from `mask_dominates` on
+    # python ints: the actions i != j that do not dominate j.
+    row_ge, row_gt, col_le, col_lt = dominance_mask_tables(game)
+    sides = ((row_ge, row_gt, game.rows, game.cols), (col_le, col_lt, game.cols, game.rows))
+    for ge, gt, k, opp_count in sides:
+        opps = range(1 << opp_count)
+        for mode in DominanceMode:
+            expected = [
+                [
+                    sum(
+                        1 << i
+                        for i in range(k)
+                        if i != j and not mask_dominates(ge[i][j], gt[i][j], opp, mode)
+                    )
+                    for opp in opps
+                ]
+                for j in range(k)
+            ]
+            for dtype in (np.int32, object):
+                got = kernels.non_dominators(
+                    np.array(ge, dtype=dtype), np.array(gt, dtype=dtype), k,
+                    np.array(opps, dtype=dtype), mode,
+                )
+                assert got.tolist() == expected, (mode, dtype)
 
 
 def test_grid_shape_and_empty_masks(a2):

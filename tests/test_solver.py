@@ -26,9 +26,9 @@ from saddles import (
     strict_saddle,
     trial_seed,
 )
-from saddles import solver
+from saddles import kernels, solver
 
-from conftest import planted_saddle_entry
+from conftest import cloned_games, planted_saddle_entry
 from oracles import brute_saddles
 
 WEAK = DominanceMode.WEAK
@@ -140,29 +140,30 @@ def test_find_saddle_beyond_guard():
     assert is_gsp(g, saddle, WEAK)
 
 
+@pytest.mark.parametrize("rows, cols", [(70, 70), (3, 66), (66, 3)])
+@pytest.mark.parametrize("mode", [WEAK, STRICT, WRS], ids=["weak", "strict", "weak-strict"])
+def test_find_saddle_exact_past_63_actions(rows, cols, mode):
+    # Masks of 66 and 70 bits overflow 64-bit integers, so the scan's
+    # non-dominator sets must stay python ints. A 66x3 game takes the
+    # planted game transposed and negated, which swaps the players and so
+    # moves the saddle to {5} x {2}.
+    if cols >= 6:
+        entries = [planted_saddle_entry(r, c) for r in range(rows) for c in range(cols)]
+        planted = ActionProduct([2], [5])
+    else:
+        entries = [-planted_saddle_entry(c, r) for r in range(rows) for c in range(cols)]
+        planted = ActionProduct([5], [2])
+    g = new_game(rows, cols, entries)
+    saddle = find_saddle(g, mode)
+    assert saddle == planted
+    assert is_gsp(g, saddle, mode)
+
+
 def test_find_saddle_final_check_raises(a1, monkeypatch):
     # The closing GSP check must survive `python -O`, so it cannot be an assert.
     monkeypatch.setattr("saddles.solver.is_gsp", lambda game, product, mode: False)
     with pytest.raises(PropertyViolationError, match="non-GSP"):
         find_saddle(a1, WEAK)
-
-
-@st.composite
-def cloned_games(draw):
-    # A base matrix of bound-1 integers or non-integer rationals, with rows
-    # and columns drawn from it with repeats, so that clones are common.
-    palette = draw(st.sampled_from((("-1", "0", "1"), ("1/3", "-2.5", "0", "7/3"))))
-    base_rows, base_cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
-    base = draw(
-        st.lists(
-            st.lists(st.sampled_from(palette), min_size=base_cols, max_size=base_cols),
-            min_size=base_rows,
-            max_size=base_rows,
-        )
-    )
-    row_of = draw(st.lists(st.integers(0, base_rows - 1), min_size=1, max_size=4))
-    col_of = draw(st.lists(st.integers(0, base_cols - 1), min_size=1, max_size=4))
-    return new_game(len(row_of), len(col_of), [base[r][c] for r in row_of for c in col_of])
 
 
 @settings(max_examples=150, deadline=None)
@@ -191,8 +192,8 @@ def test_find_saddle_same_with_evicting_memo(mode, monkeypatch):
         for t in range(50)
     ]
     builds = []
-    build = solver._non_dominator_sets
-    monkeypatch.setattr(solver, "_non_dominator_sets", lambda *a: builds.append(a) or build(*a))
+    build = kernels.non_dominators
+    monkeypatch.setattr(kernels, "non_dominators", lambda *a: builds.append(a) or build(*a))
     expected = [find_saddle(g, mode) for g in games]
     kept = len(builds)
     monkeypatch.setattr(solver, "_MEMO_MASKS", 1)
@@ -375,7 +376,7 @@ def test_permutation_witness_is_the_first_in_order():
     for trial in range(60):
         n, m = 2 + trial % 3, 2 + (trial // 3) % 3
         g = generate(GeneratorConfig(GeneratorKind.UNIFORM_INT, n, m, 1, trial_seed(407, trial)))
-        dealt = new_game(n, m, rng.sample(g.entry_multiset(), n * m))
+        dealt = new_game(n, m, rng.sample(sorted(itertools.chain(*g.entries)), n * m))
         expected = _first_witness(g, dealt)
         assert _found(g, dealt) == expected
         absent += expected is None
