@@ -3,19 +3,24 @@
 On seeded uniform bound-3 games under weak dominance, times each layer of
 `kernels.saddle_grids` and of reading its answer:
 
-* ``tables_ms``: `dominance_mask_tables`, the exact comparison bitmasks,
-  ranking included: the game caches its ranks, so this call and
-  ``saddle_grids_ms`` get a fresh copy of the game each time;
+* ``tables_ms``: `dominance_mask_tables` in int32, as the grid builds them,
+  the exact comparison bitmasks, ranking included: the game caches its
+  ranks, so this call and ``saddle_grids_ms`` get a fresh copy of the game
+  each time;
 * ``nondominator_sets_ms``: the non-dominator set of every action for every
   opponent mask, both sides;
 * ``gsp_grid_ms``: the packed GSP grid over all 2^(rows+cols) products, from
   the tables: non-dominator sets, marking and the downward closures;
 * ``gsp_closure_ms``: ``gsp_grid_ms`` minus ``nondominator_sets_ms``, the
   marking and closures alone (derived, not timed on its own);
-* ``minimal_filter_ms``: the minimality closure applied to that grid;
+* ``minimal_filter_ms``: the minimality closure applied to that grid
+  (`kernels.minimal_grid`), which the referees read;
+* ``min_size_walk_ms``: the cells of fewest actions read off that grid
+  (`kernels.min_size_cells`), which weak and strict enumeration read
+  instead of the filter;
 * ``cell_extraction_ms``: reading the saddles off the minimal grid as sorted
-  `ActionProduct`s (`solver._grid_products`);
-* ``saddle_grids_ms``: the public call, covering tables, grid and filter.
+  `ActionProduct`s (`kernels.grid_cells` and `solver._products`);
+* ``saddle_grids_ms``: the public call, covering tables and GSP grid.
 
 It also times the exact LP layer, under ``lp``, on seeded uniform games of
 the shapes and bounds in `LP_WORKLOADS`, each figure per game over a batch of
@@ -110,12 +115,14 @@ from saddles import (
 )
 from saddles.kernels import (
     _gsp_grid,
-    _minimal_grid,
-    non_dominators,
     dominance_mask_tables,
+    grid_cells,
+    min_size_cells,
+    minimal_grid,
+    non_dominators,
     saddle_grids,
 )
-from saddles.solver import _grid_products
+from saddles.solver import _products
 from saddles.verify import _run_trial
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -164,13 +171,11 @@ def quartiles_ms(func, repeats, per=1):
 
 def layer_times(game, repeats):
     n, m, weak = game.rows, game.cols, DominanceMode.WEAK
-    row_ge, row_gt, col_le, col_lt = tables = [
-        np.array(t, dtype=np.int32) for t in dominance_mask_tables(game)
-    ]
+    row_ge, row_gt, col_le, col_lt = tables = dominance_mask_tables(game, np.int32)
     col_masks = np.arange(1 << m, dtype=np.int32)
     row_masks = np.arange(1 << n, dtype=np.int32)
     gsp = _gsp_grid(*tables, n, m, weak)
-    minimal = _minimal_grid(gsp, n + m)
+    minimal = minimal_grid(gsp, n + m)
 
     def nondominator_sets():
         non_dominators(row_ge, row_gt, n, col_masks, weak)
@@ -182,14 +187,19 @@ def layer_times(game, repeats):
 
     def fresh_saddle_grids():
         copy = next(copies)
-        return saddle_grids(copy, weak, dominance_mask_tables(copy))
+        return saddle_grids(copy, weak, dominance_mask_tables(copy, np.int32))
 
     times = {
-        "tables_ms": median_ms(lambda: dominance_mask_tables(next(copies)), repeats),
+        "tables_ms": median_ms(
+            lambda: dominance_mask_tables(next(copies), np.int32), repeats
+        ),
         "nondominator_sets_ms": median_ms(nondominator_sets, repeats),
         "gsp_grid_ms": median_ms(lambda: _gsp_grid(*tables, n, m, weak), repeats),
-        "minimal_filter_ms": median_ms(lambda: _minimal_grid(gsp, n + m), repeats),
-        "cell_extraction_ms": median_ms(lambda: _grid_products(minimal, game), repeats),
+        "minimal_filter_ms": median_ms(lambda: minimal_grid(gsp, n + m), repeats),
+        "min_size_walk_ms": median_ms(lambda: min_size_cells(gsp, m), repeats),
+        "cell_extraction_ms": median_ms(
+            lambda: _products(grid_cells(minimal, m), game), repeats
+        ),
         "saddle_grids_ms": median_ms(fresh_saddle_grids, repeats),
     }
     times["gsp_closure_ms"] = times["gsp_grid_ms"] - times["nondominator_sets_ms"]
@@ -411,6 +421,7 @@ def main():
         ("nondominator_sets_ms", "nondom"),
         ("gsp_closure_ms", "closure"),
         ("minimal_filter_ms", "filter"),
+        ("min_size_walk_ms", "walk"),
         ("cell_extraction_ms", "extract"),
         ("saddle_grids_ms", "total"),
     )

@@ -44,10 +44,11 @@ from .solver import (
     PermutationWitness,
     SaddleSet,
     all_gsps,
-    cross_products,
     enumerate_saddles,
     find_saddle,
     is_gsp,
+    min_size_gsps,
+    minimal_saddles,
     permutation_equivalent,
     strict_saddle,
 )
@@ -59,6 +60,7 @@ from .verify import (
     TrialConfig,
     check_confrontation_uniqueness,
     check_distinct_uniqueness,
+    check_min_size,
     check_subgame_restriction,
     check_nash_consistency,
     check_strict_uniqueness,
@@ -94,12 +96,12 @@ __all__ = [
     "all_gsps",
     "check_confrontation_uniqueness",
     "check_distinct_uniqueness",
+    "check_min_size",
     "check_subgame_restriction",
     "check_nash_consistency",
     "check_strict_uniqueness",
     "check_interchangeability",
     "col_dominates",
-    "cross_products",
     "embed_strategy",
     "emit_result",
     "enumerate_saddles",
@@ -111,6 +113,8 @@ __all__ = [
     "is_gsp",
     "is_nash",
     "iterated_elimination",
+    "min_size_gsps",
+    "minimal_saddles",
     "nash_equilibrium",
     "new_game",
     "parse_game",

@@ -11,6 +11,9 @@ all comparisons are then made on those ranks and packed into bitmask tables:
 * ``col_le[c1][c2]``: bitmask over rows r with entry(r,c1) <= entry(r,c2)
 * ``col_lt[c1][c2]``: same with strict <
 
+The tables are (k, k) arrays in the caller's dtype: int32 for the grid,
+python ints (object) for `find`, which has no size limit.
+
 After that, scanning all (2^rows - 1) * (2^cols - 1) action products for the
 generalized-saddle-point property is integer bit twiddling with no arithmetic
 on payoffs at all, so the kernels are exact by construction. Both product
@@ -25,6 +28,12 @@ halves above):
   closing the marks downward over that side's bits, and
 * the minimality filter marks every product one action above a GSP, then
   closes the marks upward; the GSPs left unmarked are minimal.
+
+`min_size_cells` reads the GSP grid without the filter: it walks the words
+in chunks and keeps the set cells whose flat index has the fewest set bits,
+the GSPs with the fewest actions |R| + |C|. Under weak and under strict
+dominance those are exactly the saddles (see `solver`), so the answer paths
+read them; the filter stays for weak-strict dominance and the referees.
 
 The grid and `find`'s scan (`solver._side_rule`) take their non-dominator
 sets from one function, `non_dominators`, over one bitmask dominance test,
@@ -53,26 +62,35 @@ _CHUNK = 1 << 14
 _LANE_MIN_WORDS = 1 << 10
 
 
-def _pack(bits) -> list[list[int]]:
-    # Nested lists of python-int bitmasks from a (k, k, width) bool array,
-    # bit i of each mask taken from index i of the last axis; python ints
-    # keep any number of actions exact.
+def _pack(bits, dtype):
+    # (k, k) masks of `dtype` from a (k, k, width) bool array, bit i of each
+    # mask taken from index i of the last axis.
+    width = bits.shape[-1]
+    if np.dtype(dtype) != object:
+        if width >= np.iinfo(dtype).bits:
+            raise ValueError(f"{width}-bit masks do not fit {np.dtype(dtype)}")
+        return bits @ (1 << np.arange(width, dtype=dtype))
+    # Python ints through packed bytes: a multiply on object arrays took
+    # about 20 times as long at 70x70.
     packed = np.packbits(bits, axis=-1, bitorder="little")
-    width, raw = packed.shape[-1], packed.tobytes()
-    flat = [int.from_bytes(raw[i : i + width], "little") for i in range(0, len(raw), width)]
-    return [flat[i : i + len(bits)] for i in range(0, len(flat), len(bits))]
+    step, raw = packed.shape[-1], packed.tobytes()
+    flat = (int.from_bytes(raw[i : i + step], "little") for i in range(0, len(raw), step))
+    return np.fromiter(flat, dtype=object, count=len(raw) // step).reshape(bits.shape[:2])
 
 
-def dominance_mask_tables(game: ZeroSumGame):
-    """Exact dominance bitmasks as plain python ints (any game size).
+def dominance_mask_tables(game: ZeroSumGame, dtype=object):
+    """Exact dominance bitmasks as (k, k) arrays of `dtype`.
 
-    Returns (row_ge, row_gt, col_le, col_lt) as nested lists; row masks have
-    one bit per column, column masks one bit per row.
+    Returns (row_ge, row_gt, col_le, col_lt); row masks have one bit per
+    column, column masks one bit per row. The default, object, holds python
+    ints, exact for any game size (`find`'s tables); the grid asks for
+    int32, which its budget keeps wide enough. A mask too wide for `dtype`
+    raises ValueError.
     """
     ranks = np.array(game.ranks, dtype=np.int64)
     # Columns compare the other way round: their tables are -ranks.T's row tables.
     return tuple(
-        _pack(compare(side[:, None], side[None]))
+        _pack(compare(side[:, None], side[None]), dtype)
         for side in (ranks, -ranks.T)
         for compare in (np.greater_equal, np.greater)
     )
@@ -163,10 +181,14 @@ def _gsp_grid(row_ge, row_gt, col_le, col_lt, n, m, mode):
     return gsp
 
 
-def _minimal_grid(gsp, nbits):
-    # A GSP is minimal iff no proper subproduct is a GSP. A product has a
-    # GSP G strictly inside iff it contains G + i for some action i outside
-    # G, so below marks every GSP one action up, then closes upward.
+def minimal_grid(gsp, nbits):
+    """The minimality filter: the cells of the packed GSP grid `gsp`, over
+    `nbits` = rows + cols index bits, that have no GSP strictly inside.
+
+    A product has a GSP G strictly inside iff it contains G + i for some
+    action i outside G, so the filter marks every GSP one action up, then
+    closes the marks upward. It holds one grid besides `gsp`.
+    """
     below = np.zeros_like(gsp)
     for b in range(nbits):
         _spread(gsp, below, b, upward=True)
@@ -177,29 +199,98 @@ def _minimal_grid(gsp, nbits):
 
 
 def saddle_grids(game: ZeroSumGame, mode: DominanceMode, tables):
-    """(gsp, minimal) grids packed one bit per product into uint64 words.
+    """The GSP grid of `game` under `mode`, packed one bit per product into
+    uint64 words.
 
-    `tables` are the game's `dominance_mask_tables`. The product of row mask
-    R and column mask C is bit ``R * 2^cols + C`` of the flat grid (bit
-    ``i % 64`` of word ``i // 64``); `grid_cells` unpacks the set bits.
-    ``gsp`` marks the generalized saddle points, ``minimal`` the
-    inclusion-minimal ones (the saddles). Each grid takes 2^(rows+cols) bits,
-    at least one word; a grid over MAX_GRID_BITS raises CapacityError before
-    anything is allocated.
+    `tables` are the game's `dominance_mask_tables` in int32. The product
+    of row mask R and column mask C is bit ``R * 2^cols + C`` of the flat
+    grid (bit ``i % 64`` of word ``i // 64``); `grid_cells` unpacks the set
+    bits, `min_size_cells` the smallest, and `minimal_grid` filters the
+    inclusion-minimal ones. The grid takes 2^(rows+cols) bits, at least one
+    word; a grid over MAX_GRID_BITS raises CapacityError before anything is
+    allocated.
     """
     n, m = game.rows, game.cols
     check_grid_budget(n, m)
-    gsp = _gsp_grid(*(np.array(table, dtype=np.int32) for table in tables), n, m, mode)
-    return gsp, _minimal_grid(gsp, n + m)
+    return _gsp_grid(*tables, n, m, mode)
+
+
+def _popcounts(count):
+    # Set bits of 0 .. count - 1 (a power of two), as uint8.
+    bits = np.zeros(count, dtype=np.uint8)
+    size = 1
+    while size < count:
+        bits[size : 2 * size] = bits[:size] + 1
+        size *= 2
+    return bits
+
+
+# Words per chunk of `min_size_cells`. A chunk starts at a multiple of it, so
+# a word index has the set bits of its chunk's start plus those of its offset.
+_WALK_WORDS = 1 << 14
+_OFFSET_BITS = _popcounts(_WALK_WORDS)
+# _FEWEST[b]: the fewest set bits among the positions 0-7 set in byte b; 64
+# for an empty byte, so that it never counts as the fewest.
+_FEWEST = np.array(
+    [min((bin(k).count("1") for k in range(8) if b >> k & 1), default=64) for b in range(256)],
+    dtype=np.uint8,
+)
+
+
+def _set_bits(words):
+    # (word, bit): each set bit's position in `words` and in its word, ascending.
+    bits = np.unpackbits(words.astype("<u8", copy=False).view(np.uint8), bitorder="little")
+    return np.nonzero(bits.reshape(-1, 64))
+
+
+def _masks(cells, cols):
+    return cells >> cols, cells & ((1 << cols) - 1)
 
 
 def grid_cells(words, cols: int):
     """(row masks, column masks) of the set bits of a packed grid, in
     ascending (row mask, column mask) order."""
     nonzero = np.flatnonzero(words)
-    bits = np.unpackbits(
-        words[nonzero].astype("<u8", copy=False).view(np.uint8), bitorder="little"
-    ).reshape(-1, 64)
-    word, bit = np.nonzero(bits)
-    cells = (nonzero[word] << _WORD_SHIFT) | bit
-    return cells >> cols, cells & ((1 << cols) - 1)
+    word, bit = _set_bits(words[nonzero])
+    return _masks((nonzero[word] << _WORD_SHIFT) | bit, cols)
+
+
+def min_size_cells(words, cols: int):
+    """(row masks, column masks) of the set bits of a packed grid whose flat
+    index R * 2^cols + C has the fewest set bits, |R| + |C|, in ascending
+    order.
+
+    The grid is walked in chunks of `_WALK_WORDS` words: each chunk's
+    nonzero words are read, those whose index alone has more set bits than
+    the best size so far are dropped, and each word left gets the fewest set
+    bits of its cells from its bytes (byte j holds positions 8j + k, with
+    bits(j) + bits(k) set bits). Only the words that reach the best size so
+    far are kept, so the temporaries stay within a chunk whatever the grid's
+    size and however many of its cells are set.
+    """
+    best, kept = 64, []
+    for start in range(0, len(words), _WALK_WORDS):
+        chunk = words[start : start + _WALK_WORDS]
+        if not np.count_nonzero(chunk):
+            continue
+        at = np.flatnonzero(chunk)
+        outer = _OFFSET_BITS[at] + np.uint8(bin(start).count("1"))
+        near = outer <= best
+        at, outer = at[near], outer[near]
+        if not len(at):
+            continue
+        raw = chunk[at].astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
+        total = outer + (_FEWEST[raw] + _OFFSET_BITS[:8]).min(axis=1)
+        low = int(total.min())
+        if low > best:
+            continue
+        if low < best:
+            best, kept = low, []
+        pick = total == low
+        kept.append((at[pick] + start, chunk[at[pick]], outer[pick]))
+    if not kept:  # an empty grid
+        return _masks(np.zeros(0, dtype=np.int64), cols)
+    index, picked, outer = (np.concatenate(parts) for parts in zip(*kept))
+    word, bit = _set_bits(picked)
+    fewest = outer[word] + _OFFSET_BITS[bit] == best
+    return _masks(((index[word] << _WORD_SHIFT) | bit)[fewest], cols)

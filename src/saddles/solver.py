@@ -2,13 +2,25 @@
 
 A product R' x C' is a generalized saddle point (GSP) when R' dominates all
 outside rows w.r.t. C' and C' dominates all outside columns w.r.t. R'. A
-saddle is an inclusion-minimal GSP. `enumerate_saddles` finds them all by
-exhaustive scan (exponential, within the grid budget of
+saddle is an inclusion-minimal GSP. `enumerate_saddles` finds them all from
+the exhaustive GSP grid (exponential, within the grid budget of
 `errors.check_grid_budget`); `find_saddle` returns one and needs no grid:
 it scans products smallest first and tests each by the grid's own rule,
 on non-dominator sets that the grid's kernel builds once per opponent mask.
 A `GameAnalysis` holds one game's tables and grids, so several questions
 about the same game share one build of each.
+
+Under weak and under strict dominance the saddles are exactly the GSPs of
+fewest actions |R| + |C|, so `enumerate_saddles` and `strict_saddle` read
+those off the GSP grid (`kernels.min_size_cells`). A GSP of that size has
+no GSP strictly inside it, so it is a saddle. The paper proves all weak
+saddles equivalent, so they share one shape and every weak saddle has that
+size; the strict saddle is unique, so it is the one strict GSP of that
+size. Weak-strict dominance has neither guarantee: in the game
+`0 1 / 0 0 / 0 0` its saddles {r1} x {c1,c2} and {r1,r2,r3} x {c1} differ
+in size. So weak-strict enumeration, and `minimal_saddles`, which `verify`
+and the `check` command read, keep the minimality filter
+(`kernels.minimal_grid`): no check reads the fast path it checks.
 
 The numpy grid engine, `kernels`, is imported only inside the functions
 that build tables or grids or read them, so importing this module loads no
@@ -71,10 +83,9 @@ def _mask_to_indices(mask: int, count: int) -> tuple[int, ...]:
     return tuple(i for i in range(count) if mask >> i & 1)
 
 
-def _grid_products(grid, game: ZeroSumGame) -> tuple[ActionProduct, ...]:
-    from . import kernels
-
-    row_masks, col_masks = kernels.grid_cells(grid, game.cols)
+def _products(cells, game: ZeroSumGame) -> tuple[ActionProduct, ...]:
+    # Sorted products from a kernel's (row masks, column masks).
+    row_masks, col_masks = cells
     products = [
         ActionProduct(
             _mask_to_indices(rm, game.rows), _mask_to_indices(cm, game.cols)
@@ -86,38 +97,54 @@ def _grid_products(grid, game: ZeroSumGame) -> tuple[ActionProduct, ...]:
 
 @dataclass(frozen=True)
 class GameAnalysis:
-    """One game's dominance tables and saddle grids, each built at most once.
+    """One game's dominance tables and grids, each built at most once.
 
-    The mask tables are built on the first grid request and the (gsp,
-    minimal) grids of each dominance mode on the first request for that
-    mode. `enumerate_saddles`, `all_gsps`, `strict_saddle` and the `verify`
-    checks take a game or its analysis, so the checks of one campaign trial
-    share it; `find_saddle` and `is_gsp` take only a game, and so does
-    `dominance.iterated_elimination`, which needs no tables. Nothing is
-    cached beyond the analysis itself, which lives as long as its caller
-    keeps it.
+    The int32 mask tables are built on the first grid request, the GSP grid
+    of each dominance mode on the first request for that mode, and that
+    mode's minimality-filtered grid only when a referee asks for it
+    (`minimal_saddles`: weak-strict enumeration, `check` and `verify`).
+    `enumerate_saddles`, `all_gsps`, `min_size_gsps`, `minimal_saddles`,
+    `strict_saddle` and the `verify` checks take a game or its analysis, so
+    the checks of one campaign trial share it; `find_saddle` and `is_gsp`
+    take only a game, and so does `dominance.iterated_elimination`, which
+    needs no tables. Nothing is cached beyond the analysis itself, which
+    lives as long as its caller keeps it.
     """
 
     game: ZeroSumGame
-    _grids: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _gsp: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _minimal: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @functools.cached_property
     def tables(self):
-        """The game's `kernels.dominance_mask_tables`, built on first use."""
+        """The game's `kernels.dominance_mask_tables` in int32, built on first use."""
+        import numpy as np
+
         from . import kernels
 
-        return kernels.dominance_mask_tables(self.game)
+        return kernels.dominance_mask_tables(self.game, np.int32)
 
-    def grids(self, mode: DominanceMode):
-        """(gsp, minimal) packed grids under `mode`; the grid budget is
-        checked before the tables are built."""
-        found = self._grids.get(mode)
+    def gsp_grid(self, mode: DominanceMode):
+        """The packed GSP grid under `mode`; the grid budget is checked
+        before the tables are built."""
+        found = self._gsp.get(mode)
         if found is None:
             check_grid_budget(self.game.rows, self.game.cols)
             from . import kernels
 
-            found = kernels.saddle_grids(self.game, mode, self.tables)
-            self._grids[mode] = found
+            found = self._gsp[mode] = kernels.saddle_grids(self.game, mode, self.tables)
+        return found
+
+    def minimal_grid(self, mode: DominanceMode):
+        """The packed grid of the inclusion-minimal GSPs under `mode`, from
+        the minimality filter."""
+        found = self._minimal.get(mode)
+        if found is None:
+            gsp = self.gsp_grid(mode)
+            from . import kernels
+
+            found = kernels.minimal_grid(gsp, self.game.rows + self.game.cols)
+            self._minimal[mode] = found
         return found
 
 
@@ -131,13 +158,41 @@ def enumerate_saddles(
 ) -> SaddleSet:
     """All saddles of the game under `mode`, lexicographically sorted.
 
-    Scans every nonempty product of action subsets, so the cost is
-    2^(rows+cols) dominance-mask tests; a game over the grid budget raises
-    CapacityError before anything is built.
+    Builds the GSP grid over every nonempty product of action subsets, so
+    the cost is 2^(rows+cols) cells; a game over the grid budget raises
+    CapacityError before anything is built. Under weak and strict dominance
+    the saddles are the GSPs of fewest actions (`min_size_gsps`); under
+    weak-strict dominance they come from the minimality filter
+    (`minimal_saddles`).
     """
+    if mode is DominanceMode.WEAK_REQUIRE_STRICT:
+        return minimal_saddles(subject, mode)
+    return SaddleSet(mode=mode, saddles=min_size_gsps(subject, mode))
+
+
+def minimal_saddles(
+    subject: ZeroSumGame | GameAnalysis, mode: DominanceMode
+) -> SaddleSet:
+    """All saddles under `mode` from the minimality filter, in every mode:
+    the referee that `verify` and the `check` command read."""
     analysis = analyze(subject)
-    _, minimal = analysis.grids(mode)
-    return SaddleSet(mode=mode, saddles=_grid_products(minimal, analysis.game))
+    minimal = analysis.minimal_grid(mode)
+    from . import kernels
+
+    cells = kernels.grid_cells(minimal, analysis.game.cols)
+    return SaddleSet(mode=mode, saddles=_products(cells, analysis.game))
+
+
+def min_size_gsps(
+    subject: ZeroSumGame | GameAnalysis, mode: DominanceMode
+) -> tuple[ActionProduct, ...]:
+    """The GSPs with the fewest actions |R| + |C|, lexicographically sorted:
+    the saddles under weak and under strict dominance."""
+    analysis = analyze(subject)
+    gsp = analysis.gsp_grid(mode)
+    from . import kernels
+
+    return _products(kernels.min_size_cells(gsp, analysis.game.cols), analysis.game)
 
 
 def all_gsps(
@@ -145,12 +200,14 @@ def all_gsps(
 ) -> tuple[ActionProduct, ...]:
     """Every GSP (not just the minimal ones), lexicographically sorted."""
     analysis = analyze(subject)
-    gsp, _ = analysis.grids(mode)
-    return _grid_products(gsp, analysis.game)
+    gsp = analysis.gsp_grid(mode)
+    from . import kernels
+
+    return _products(kernels.grid_cells(gsp, analysis.game.cols), analysis.game)
 
 
 def strict_saddle(subject: ZeroSumGame | GameAnalysis) -> ActionProduct:
-    """The unique minimal strict GSP.
+    """The unique minimal strict GSP, the one strict GSP of fewest actions.
 
     Uniqueness holds for every zero-sum game; a count other than one is
     reported as a PropertyViolationError, never ignored.
@@ -180,8 +237,8 @@ def _side_rule(ge, gt, count: int, mode: DominanceMode):
     A side S leaves some outside action undominated iff S lies inside some
     action j's non-dominator set nd[j]; j is never in nd[j], so j is then
     outside S. The nd sets come from the grid's own `kernels.non_dominators`,
-    on object arrays of python ints, so they stay exact for any number of
-    actions. The returned function maps an opponent mask to the masks a
+    on `ge` and `gt`, object tables of python ints, so they stay exact for
+    any number of actions. The returned function maps an opponent mask to the masks a
     passing S must meet, the complements of its nd sets. Its memo lives as
     long as the function and keeps at most `_MEMO_MASKS` (2^16) opponent
     masks, each with `count` masks of `count` bits: at worst 2^16 x `count`
@@ -191,7 +248,6 @@ def _side_rule(ge, gt, count: int, mode: DominanceMode):
 
     from . import kernels
 
-    ge, gt = np.array(ge, dtype=object), np.array(gt, dtype=object)
     full = (1 << count) - 1
 
     @functools.lru_cache(maxsize=_MEMO_MASKS)
@@ -217,7 +273,7 @@ def find_saddle(game: ZeroSumGame, mode: DominanceMode) -> ActionProduct:
     """
     from . import kernels
 
-    row_ge, row_gt, col_le, col_lt = kernels.dominance_mask_tables(game)
+    row_ge, row_gt, col_le, col_lt = kernels.dominance_mask_tables(game, object)
     n, m = game.rows, game.cols
     rows_meet = _side_rule(row_ge, row_gt, n, mode)
     cols_meet = _side_rule(col_le, col_lt, m, mode)
@@ -253,16 +309,6 @@ def _first_gsp(n: int, m: int, rows_meet, cols_meet) -> ActionProduct:
                             _mask_to_indices(row_mask, n), _mask_to_indices(col_mask, m)
                         )
     raise PropertyViolationError("find_saddle scanned every product and found no GSP")
-
-
-def cross_products(
-    s1: ActionProduct, s2: ActionProduct
-) -> tuple[ActionProduct, ActionProduct]:
-    """(R1 x C2, R2 x C1) for products s1 = R1 x C1 and s2 = R2 x C2."""
-    return (
-        ActionProduct(s1.row_set, s2.col_set),
-        ActionProduct(s2.row_set, s1.col_set),
-    )
 
 
 def permutation_equivalent(

@@ -6,7 +6,10 @@ interchangeable (cross products of saddles are saddles) and equivalent
 checks cover strict-saddle uniqueness, uniqueness on confrontation games,
 the distinct-payoff case, the subgame restriction lemma (inside a weak GSP,
 a product is a GSP of the game iff it is one of that subgame), and
-value/equilibrium consistency of saddles. `run_trials` drives them over
+value/equilibrium consistency of saddles, and the minimum-size rule that
+`enumerate_saddles` relies on. Every check reads the saddles from the
+minimality filter (`solver.minimal_saddles`), never from the fast path of
+`enumerate_saddles`. `run_trials` drives them over
 seeded random campaigns and reports replayable witnesses for any failure:
 these properties admit no exceptions, so a single failed trial is a
 falsification, not noise.
@@ -42,8 +45,9 @@ from .solver import (
     SaddleSet,
     all_gsps,
     analyze,
-    enumerate_saddles,
     is_gsp,
+    min_size_gsps,
+    minimal_saddles,
     permutation_equivalent,
 )
 
@@ -55,6 +59,7 @@ class CheckKind(enum.Enum):
     DISTINCT_UNIQUE = "distinct_unique"
     SUBGAME_RESTRICTION = "subgame_restriction"
     NASH_CONSISTENCY = "nash_consistency"
+    MIN_SIZE = "min_size"
 
     @classmethod
     def from_token(cls, token: str) -> "CheckKind":
@@ -110,7 +115,7 @@ def check_interchangeability(
     """
     analysis = analyze(subject)
     game = analysis.game
-    saddles = enumerate_saddles(analysis, mode)
+    saddles = minimal_saddles(analysis, mode)
     members = saddles.saddles
     pairs = len(members) * (len(members) - 1) // 2
     if pairs > MAX_SADDLE_PAIRS:
@@ -120,8 +125,8 @@ def check_interchangeability(
         )
     # Each saddle with its subgame, built once for all its pairs.
     subgames = [(s, game.subgame(s)) for s in members]
-    # The saddles as (rows, cols) keys: each pair's `cross_products` are
-    # looked up without building them.
+    # The saddles as (rows, cols) keys: each pair's cross products R1 x C2
+    # and R2 x C1 are looked up without building them.
     keys = {(s.row_set, s.col_set) for s in members}
     violations: list[Violation] = []
     witnesses = []
@@ -145,21 +150,21 @@ def check_interchangeability(
 
 
 def check_strict_uniqueness(subject: ZeroSumGame | GameAnalysis) -> bool:
-    return len(enumerate_saddles(subject, DominanceMode.STRICT)) == 1
+    return len(minimal_saddles(subject, DominanceMode.STRICT)) == 1
 
 
 def check_confrontation_uniqueness(subject: ZeroSumGame | GameAnalysis) -> bool:
     analysis = analyze(subject)
     if not analysis.game.is_confrontation():
         raise GameInputError("uniqueness check requires a confrontation game")
-    return len(enumerate_saddles(analysis, DominanceMode.WEAK)) == 1
+    return len(minimal_saddles(analysis, DominanceMode.WEAK)) == 1
 
 
 def check_distinct_uniqueness(subject: ZeroSumGame | GameAnalysis) -> bool:
     """With pairwise-distinct payoffs the unique weak saddle is the strict one."""
     analysis = analyze(subject)
-    weak = enumerate_saddles(analysis, DominanceMode.WEAK)
-    strict = enumerate_saddles(analysis, DominanceMode.STRICT)
+    weak = minimal_saddles(analysis, DominanceMode.WEAK)
+    strict = minimal_saddles(analysis, DominanceMode.STRICT)
     return len(weak) == 1 and weak.saddles == strict.saddles
 
 
@@ -176,7 +181,7 @@ def check_nash_consistency(subject: ZeroSumGame | GameAnalysis) -> CheckVerdict:
     analysis = analyze(subject)
     game = analysis.game
     problems = []
-    for saddle in enumerate_saddles(analysis, DominanceMode.WEAK):
+    for saddle in minimal_saddles(analysis, DominanceMode.WEAK):
         pair = nash_equilibrium(game.subgame(saddle))
         embedded = embed_strategy(pair, saddle, game.rows, game.cols)
         if not is_nash(game, embedded):
@@ -185,6 +190,27 @@ def check_nash_consistency(subject: ZeroSumGame | GameAnalysis) -> CheckVerdict:
                 f"(subgame value {pair.value}) is not an equilibrium of the game"
             )
     return CheckVerdict(ok=not problems, violations=tuple(problems))
+
+
+def check_min_size(subject: ZeroSumGame | GameAnalysis) -> CheckVerdict:
+    """Under weak and under strict dominance, the saddles from the
+    minimality filter are exactly the GSPs of fewest actions |R| + |C|, the
+    ones `enumerate_saddles` answers with (see `solver`)."""
+    analysis = analyze(subject)
+    problems = []
+    for mode in (DominanceMode.WEAK, DominanceMode.STRICT):
+        filtered = minimal_saddles(analysis, mode).saddles
+        smallest = min_size_gsps(analysis, mode)
+        if filtered != smallest:
+            problems.append(
+                f"{mode.value}: saddles {_listed(filtered)} "
+                f"but minimum-size GSPs {_listed(smallest)}"
+            )
+    return CheckVerdict(ok=not problems, violations=tuple(problems))
+
+
+def _listed(products) -> str:
+    return ", ".join(f"{p.row_set}x{p.col_set}" for p in products)
 
 
 def _reindex_within(inner: tuple[int, ...], outer: tuple[int, ...]) -> tuple[int, ...]:
@@ -373,7 +399,11 @@ def _run_one_check(
             f"{outer.row_set}x{outer.col_set}, inner {inner.row_set}x{inner.col_set}"
         )
         return ok, detail
-    verdict = check_nash_consistency(analysis)
+    verdict = (
+        check_min_size(analysis)
+        if check is CheckKind.MIN_SIZE
+        else check_nash_consistency(analysis)
+    )
     return verdict.ok, "; ".join(verdict.violations)
 
 

@@ -7,6 +7,7 @@ import json
 import re
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -143,7 +144,7 @@ def test_one_trial_builds_tables_once_and_each_grid_once(monkeypatch):
     )
     assert run_trials(config).all_passed
     assert calls == {
-        ("dominance_mask_tables",): 1,
+        ("dominance_mask_tables", np.int32): 1,
         ("saddle_grids", DominanceMode.WEAK): 1,
         ("saddle_grids", DominanceMode.STRICT): 1,
     }
@@ -151,25 +152,31 @@ def test_one_trial_builds_tables_once_and_each_grid_once(monkeypatch):
 
 def test_analysis_memoizes_per_mode(a3):
     analysis = GameAnalysis(a3)
-    weak = analysis.grids(DominanceMode.WEAK)
-    assert analysis.grids(DominanceMode.WEAK) is weak
-    assert analysis.grids(DominanceMode.STRICT) is not weak
+    weak = analysis.gsp_grid(DominanceMode.WEAK)
+    assert analysis.gsp_grid(DominanceMode.WEAK) is weak
+    assert analysis.gsp_grid(DominanceMode.STRICT) is not weak
+    minimal = analysis.minimal_grid(DominanceMode.WEAK)
+    assert analysis.minimal_grid(DominanceMode.WEAK) is minimal
+    assert analysis.gsp_grid(DominanceMode.WEAK) is weak
     assert analysis.tables is analysis.tables
 
 
-_UNIFORM_CHECKS = tuple(k for k in CheckKind if k is not CheckKind.CONFRONTATION_UNIQUE)
-# (kind, rows, cols, bound, checks): each generator with every check its
-# campaigns accept, at bounds 1 and 3. The distinct generator needs
-# 2*bound + 1 distinct values, hence its small shapes.
+# The six checks the digests below were recorded with; `min_size` came
+# later and has a test of its own in test_verify.py.
+_ALL_CHECKS = tuple(k for k in CheckKind if k is not CheckKind.MIN_SIZE)
+_UNIFORM_CHECKS = tuple(k for k in _ALL_CHECKS if k is not CheckKind.CONFRONTATION_UNIQUE)
+# (kind, rows, cols, bound, checks): each generator with every one of those
+# checks that its campaigns accept, at bounds 1 and 3. The distinct
+# generator needs 2*bound + 1 distinct values, hence its small shapes.
 REPORT_CONFIGS = (
     (GeneratorKind.UNIFORM_INT, 4, 4, 1, _UNIFORM_CHECKS),
     (GeneratorKind.UNIFORM_INT, 4, 4, 3, _UNIFORM_CHECKS),
     (GeneratorKind.DISTINCT_INT, 1, 3, 1, _UNIFORM_CHECKS),
     (GeneratorKind.DISTINCT_INT, 2, 3, 3, _UNIFORM_CHECKS),
-    (GeneratorKind.CONFRONTATION, 4, 4, 1, tuple(CheckKind)),
-    (GeneratorKind.CONFRONTATION, 4, 4, 3, tuple(CheckKind)),
-    (GeneratorKind.TOURNAMENT, 4, 4, 1, tuple(CheckKind)),
-    (GeneratorKind.TOURNAMENT, 4, 4, 3, tuple(CheckKind)),
+    (GeneratorKind.CONFRONTATION, 4, 4, 1, _ALL_CHECKS),
+    (GeneratorKind.CONFRONTATION, 4, 4, 3, _ALL_CHECKS),
+    (GeneratorKind.TOURNAMENT, 4, 4, 1, _ALL_CHECKS),
+    (GeneratorKind.TOURNAMENT, 4, 4, 3, _ALL_CHECKS),
 )
 # SHA-256 of each 300-trial report without duration_seconds, recorded before
 # the checks shared one analysis per trial. Every check but distinct_unique

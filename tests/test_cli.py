@@ -315,6 +315,8 @@ def test_lp_commands_and_input_errors_do_not_load_numpy(tmp_path, a1_file):
     latin.write_bytes(NOT_UTF8)
     verify = ["verify", "--trials", "1", "--rows", "3", "--cols", "3", "--gen", "uniform",
               "--seed", "1"]
+    # Over the grid budget: the walk's commands and the filter's alike.
+    big = _game_file(tmp_path, 29, 2, lambda r, c: 1)
     seen = _numpy_after_each(
         ["value", a1_file],
         ["nash", a1_file, "--json"],
@@ -322,9 +324,12 @@ def test_lp_commands_and_input_errors_do_not_load_numpy(tmp_path, a1_file):
         ["enumerate", str(bad)],
         ["enumerate", str(latin)],
         verify + ["--bound", "0"],
-        ["enumerate", _game_file(tmp_path, 29, 2, lambda r, c: 1)],
+        ["enumerate", big],
+        ["strict", big],
+        ["enumerate", big, "--mode", "weak-strict"],
+        ["check", big],
     )
-    assert seen == [(0, False), (0, False)] + [(2, False)] * 5
+    assert seen == [(0, False), (0, False)] + [(2, False)] * 8
 
 
 def test_enumerate_loads_numpy(a1_file):

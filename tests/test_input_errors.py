@@ -95,7 +95,7 @@ CASES = [
     ("check-token", lambda mp: CheckKind.from_token("bogus"), GameInputError,
      "unknown check 'bogus'; expected one of ['interchangeability', 'strict_unique', "
      "'confrontation_unique', 'distinct_unique', 'subgame_restriction', "
-     "'nash_consistency']"),
+     "'nash_consistency', 'min_size']"),
 ]
 
 

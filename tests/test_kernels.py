@@ -16,8 +16,11 @@ from saddles import (
     GameAnalysis,
     GeneratorConfig,
     GeneratorKind,
+    enumerate_saddles,
     generate,
+    minimal_saddles,
     new_game,
+    strict_saddle,
     trial_seed,
 )
 from saddles import kernels
@@ -61,7 +64,9 @@ def _dense(words, rows, cols):
 
 
 def packed_grids(game, mode):
-    return kernels.saddle_grids(game, mode, dominance_mask_tables(game))
+    # The packed GSP grid and its minimality-filtered grid.
+    gsp = kernels.saddle_grids(game, mode, dominance_mask_tables(game, np.int32))
+    return gsp, kernels.minimal_grid(gsp, game.rows + game.cols)
 
 
 def saddle_grids(game, mode):
@@ -162,7 +167,11 @@ def test_grid_shape_and_empty_masks(a2):
 @example(new_game(1, 5, ["0", "1/3", "0", "-2.5", "1/3"]))
 @example(new_game(4, 1, ["1", "0", "1", "-1"]))
 @example(new_game(1, 1, ["-2.5"]))
+# Weak-strict saddles of two sizes: {r1} x {c1,c2} and {r1,r2,r3} x {c1}.
+@example(new_game(3, 2, [0, 1, 0, 0, 0, 0]))
 def test_grids_match_oracles(game):
+    # The grids, and the answers read off them: the minimum-size cells
+    # under weak and strict dominance, the filter under weak-strict.
     entries = game.entries
     for mode, name in ORACLE_MODES.items():
         gsp, minimal = saddle_grids(game, mode)
@@ -173,7 +182,16 @@ def test_grids_match_oracles(game):
                 expected = brute_is_gsp(entries, _indices(row_mask), _indices(col_mask), name)
                 assert gsp[row_mask, col_mask] == expected, (row_mask, col_mask, name)
         found = sorted((_indices(int(r)), _indices(int(c))) for r, c in np.argwhere(minimal))
-        assert found == brute_saddles(entries, name), name
+        saddles = brute_saddles(entries, name)
+        assert found == saddles, name
+        assert _products(enumerate_saddles(game, mode)) == saddles, name
+        assert _products(minimal_saddles(game, mode)) == saddles, name
+    (strict,) = brute_saddles(entries, "strict")
+    assert _products([strict_saddle(game)]) == [strict]
+
+
+def _products(products):
+    return [(p.row_set, p.col_set) for p in products]
 
 
 # Products n + m = 2, 5, 6, 7 and 12: a partial word, exactly one word, two
@@ -231,6 +249,47 @@ def test_lopsided_games_marked_in_chunks(rows, cols):
         assert long_masks(minimal) == [sum(1 << i for i in best)]
 
 
+def _scan_min_size(words, cols):
+    # Reference for `min_size_cells`: every set cell, then those whose flat
+    # index has the fewest set bits.
+    row_masks, col_masks = grid_cells(words, cols)
+    cells = (row_masks << cols) | col_masks
+    sizes = sum((cells >> b) & 1 for b in range(64))
+    fewest = sizes == sizes.min() if len(cells) else sizes == 0
+    return row_masks[fewest].tolist(), col_masks[fewest].tolist()
+
+
+def test_min_size_cells_across_chunks():
+    # Grids of 2^21 cells span two chunks of the walk. The smallest cells
+    # may lie in the first chunk, in the second (so the first chunk's are
+    # dropped), or in both; a dense grid has cells of every size.
+    rng = np.random.default_rng(5)
+    words = 1 << 15
+    cols = 10
+
+    def grid(*cells):
+        packed = np.zeros(words, dtype=np.uint64)
+        for cell in cells:
+            packed[cell >> 6] |= np.uint64(1) << np.uint64(cell & 63)
+        return packed
+
+    second = kernels._WALK_WORDS << 6  # the first cell of the second chunk
+    grids = [
+        np.zeros(words, dtype=np.uint64),
+        grid(0b111 << 12, 0b1011 << 5),  # first chunk only
+        grid(0b1111 << 3, second | 0b1, second | 0b1000000),  # second is smaller
+        grid(0b11 << 3, 0b101 << 9, second | 0b10),  # equal sizes in both
+        grid(*(1 << 21) - 1 - np.arange(0, 1 << 21, 4099)),  # near-full indices
+        rng.integers(0, 2**63, size=words, dtype=np.uint64),  # dense
+        rng.integers(0, 2**63, size=words, dtype=np.uint64)
+        & rng.integers(0, 2**63, size=words, dtype=np.uint64)
+        & (rng.random(words) < 0.01).astype(np.uint64) * np.uint64(2**64 - 1),  # sparse
+    ]
+    for packed in grids:
+        found = [masks.tolist() for masks in kernels.min_size_cells(packed, cols)]
+        assert found == list(_scan_min_size(packed, cols))
+
+
 def test_grid_budget_checked_before_allocation(monkeypatch):
     class Reached(Exception):
         pass
@@ -257,33 +316,47 @@ def test_grid_budget_checked_before_allocation(monkeypatch):
     monkeypatch.setattr(kernels, "dominance_mask_tables", unreachable)
     for rows, cols in within:
         with pytest.raises(Reached):
-            GameAnalysis(new_game(rows, cols, [0] * (rows * cols))).grids(WEAK)
+            GameAnalysis(new_game(rows, cols, [0] * (rows * cols))).gsp_grid(WEAK)
     for rows, cols in over:
         with pytest.raises(CapacityError, match=f"2\\^{rows + cols} bits"):
-            GameAnalysis(new_game(rows, cols, [0] * (rows * cols))).grids(WEAK)
+            GameAnalysis(new_game(rows, cols, [0] * (rows * cols))).gsp_grid(WEAK)
 
 
-# Peak RSS growth of a weak enumeration in a fresh process, in KiB
-# (`ru_maxrss` on Linux), over its peak after import and generation.
+# A weak enumeration in a fresh process: prints the saddle count, whether
+# every saddle is a single cell, and the peak RSS growth in KiB (`ru_maxrss`
+# on Linux) over the peak after import and generation. The argument picks a
+# uniform game or a constant one.
 RSS_PROBE = """
-import resource
+import resource, sys
 from saddles import DominanceMode, GeneratorConfig, GeneratorKind, enumerate_saddles, generate
-from saddles import kernels
-game = generate(GeneratorConfig(GeneratorKind.UNIFORM_INT, 14, 14, 3, 1))
+from saddles import kernels, new_game
+if sys.argv[1] == "constant":
+    game = new_game(14, 14, [0] * 196)
+else:
+    game = generate(GeneratorConfig(GeneratorKind.UNIFORM_INT, 14, 14, 3, 1))
 base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-enumerate_saddles(game, DominanceMode.WEAK)
-print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - base)
+found = enumerate_saddles(game, DominanceMode.WEAK)
+peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - base
+print(len(found), all(len(s.row_set) == len(s.col_set) == 1 for s in found), peak)
 """
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux only")
 def test_grid_build_peak_memory():
     # A 14x14 grid is 2^28 bits (32 MiB). A grid build holds at most three
-    # grid-sized buffers at once, so the peak grows by less than four grids;
-    # a fourth live grid would take it past. At 13x13 the non-dominator
-    # temporaries weigh as much as the grids, which hides the difference.
+    # grid-sized buffers at once, and the minimum-size walk reads the GSP
+    # grid in chunks, so the peak grows by less than four grids; a fourth
+    # live grid would take it past. At 13x13 the non-dominator temporaries
+    # weigh as much as the grids, which hides the difference. Every product
+    # of the constant game is a weak GSP, about 2.7 x 10^8 cells: all of
+    # them unpacked at once would take GBs, and its saddles are the 196
+    # single cells.
     grid_kib = (1 << 28) // 8 // 1024
-    assert int(run_probe(RSS_PROBE)) < 4 * grid_kib
+    for kind in ("uniform", "constant"):
+        count, singletons, peak = run_probe(RSS_PROBE, kind).split()
+        if kind == "constant":
+            assert (int(count), singletons) == (196, "True")
+        assert int(peak) < 4 * grid_kib, kind
 
 
 # SHA-256 of packbits(gsp) + packbits(minimal) per mode (weak, strict,

@@ -15,12 +15,12 @@ from saddles import (
     GeneratorKind,
     PropertyViolationError,
     all_gsps,
-    cross_products,
     enumerate_saddles,
     find_saddle,
     generate,
     is_gsp,
     iterated_elimination,
+    minimal_saddles,
     new_game,
     permutation_equivalent,
     strict_saddle,
@@ -397,31 +397,37 @@ def test_permutation_equivalent_leaves_no_cyclic_garbage(a3):
         gc.enable()
 
 
-def test_cross_products(a3):
-    s1 = ActionProduct([0, 2], [0, 2])
-    s2 = ActionProduct([2, 3], [2, 4])
-    assert cross_products(s1, s2) == (
-        ActionProduct([0, 2], [2, 4]),
-        ActionProduct([2, 3], [0, 2]),
-    )
-    assert cross_products(s1, s1) == (s1, s1)
-
-
 # --- structural properties -------------------------------------------------
 
 
+def _assert_answers_match_oracle(g):
+    # Weak and strict enumeration read the minimum-size cells, weak-strict
+    # and `minimal_saddles` the minimality filter; all must be the oracle's.
+    entries = [list(row) for row in g.entries]
+    for mode, token in ((WEAK, "weak"), (STRICT, "strict"), (WRS, "weak-strict")):
+        expected = brute_saddles(entries, token)
+        assert products(enumerate_saddles(g, mode)) == expected, token
+        assert products(minimal_saddles(g, mode)) == expected, token
+    assert products([strict_saddle(g)]) == brute_saddles(entries, "strict")
+
+
 def test_enumeration_matches_brute_force_oracle():
+    # Bound 2, bound 1 (tie-heavy), games with cloned rows and columns, and
+    # non-integer rationals (the entries scaled by 1/3 and shifted by 1/2).
+    rng = random.Random(505)
     for trial in range(40):
         rows = trial % 3 + 2
         cols = trial % 4 + 2
-        g = generate(
-            GeneratorConfig(
-                GeneratorKind.UNIFORM_INT, rows, cols, 2, trial_seed(505, trial)
+        for bound in (2, 1):
+            g = generate(
+                GeneratorConfig(
+                    GeneratorKind.UNIFORM_INT, rows, cols, bound, trial_seed(505, trial)
+                )
             )
-        )
-        entries = [list(row) for row in g.entries]
-        for mode, token in ((WEAK, "weak"), (STRICT, "strict"), (WRS, "weak-strict")):
-            assert products(enumerate_saddles(g, mode)) == brute_saddles(entries, token)
+            _assert_answers_match_oracle(g)
+            _assert_answers_match_oracle(_cloned(g, rng, 1, 1))
+            thirds = [Fraction(v, 3) + Fraction(1, 2) for row in g.entries for v in row]
+            _assert_answers_match_oracle(new_game(rows, cols, thirds))
 
 
 def test_saddles_are_minimal():

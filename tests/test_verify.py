@@ -6,7 +6,9 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
 
+from conftest import cloned_games
 from saddles import (
     ActionProduct,
     CapacityError,
@@ -22,6 +24,7 @@ from saddles import (
     check_nash_consistency,
     check_strict_uniqueness,
     check_interchangeability,
+    check_min_size,
     enumerate_saddles,
     game_value,
     generate,
@@ -29,7 +32,8 @@ from saddles import (
     run_trials,
     trial_seed,
 )
-from saddles import verify
+from saddles import kernels, verify
+from saddles.cli import main
 
 
 def test_check_interchangeability_golden(a1, a3):
@@ -326,3 +330,86 @@ def test_check_kind_token_round_trip():
         assert CheckKind.from_token(kind.value) is kind
     with pytest.raises(GameInputError):
         CheckKind.from_token("bogus")
+
+
+# The four checks of the benchmark's campaign workload.
+BENCH_CHECKS = (
+    CheckKind.INTERCHANGEABILITY,
+    CheckKind.STRICT_UNIQUE,
+    CheckKind.SUBGAME_RESTRICTION,
+    CheckKind.NASH_CONSISTENCY,
+)
+
+
+@pytest.mark.parametrize("bound", [1, 3])
+def test_min_size_campaign(bound):
+    # The minimum-size rule holds on every trial; it is not a default check,
+    # so default campaign reports are unchanged.
+    assert all(CheckKind.MIN_SIZE not in checks for checks in verify.DEFAULT_CHECKS.values())
+    config = TrialConfig(
+        trials=200,
+        generator=GeneratorConfig(GeneratorKind.UNIFORM_INT, 5, 5, bound, 0),
+        checks=(CheckKind.MIN_SIZE,),
+        seed=2021,
+    )
+    (outcome,) = run_trials(config).outcomes
+    assert (outcome.check, outcome.passed, outcome.failed) == (CheckKind.MIN_SIZE, 200, 0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(cloned_games(max_size=5))
+@example(new_game(3, 2, [0, 1, 0, 0, 0, 0]))
+def test_min_size_holds_on_cloned_games(game):
+    assert check_min_size(game) == verify.CheckVerdict(ok=True)
+
+
+def test_min_size_reports_a_wrong_walk(monkeypatch, a2):
+    # A walk that returned every GSP is caught, with both lists named.
+    monkeypatch.setattr(kernels, "min_size_cells", kernels.grid_cells)
+    verdict = check_min_size(a2)
+    assert not verdict.ok
+    assert verdict.violations[0].startswith("weak: saddles (0,)x(0,) but minimum-size GSPs ")
+    config = TrialConfig(
+        trials=3,
+        generator=GeneratorConfig(GeneratorKind.UNIFORM_INT, 3, 3, 1, 0),
+        checks=(CheckKind.MIN_SIZE,),
+        seed=4,
+    )
+    (outcome,) = run_trials(config).outcomes
+    assert outcome.failed == 3 and "minimum-size GSPs" in outcome.first_failure.detail
+
+
+def test_referees_never_read_the_walk(monkeypatch, capsys, tmp_path, a3):
+    # With the minimum-size walk made to raise, weak and strict enumeration
+    # fail, but weak-strict enumeration, `check` in every mode and a
+    # campaign of the benchmark's four checks still answer, so all of them
+    # read the minimality filter.
+    path = tmp_path / "a3.game"
+    path.write_text(a3.to_text())
+    expected = {}
+    for mode in DominanceMode:
+        assert main(["check", str(path), "--mode", mode.value, "--json"]) in (0, 1)
+        expected[mode] = capsys.readouterr().out
+
+    class WalkRead(Exception):
+        pass
+
+    def unreachable(*args):
+        raise WalkRead
+
+    monkeypatch.setattr(kernels, "min_size_cells", unreachable)
+    for mode in (DominanceMode.WEAK, DominanceMode.STRICT):
+        with pytest.raises(WalkRead):
+            enumerate_saddles(a3, mode)
+    enumerate_saddles(a3, DominanceMode.WEAK_REQUIRE_STRICT)
+    for mode in DominanceMode:
+        main(["check", str(path), "--mode", mode.value, "--json"])
+        assert capsys.readouterr().out == expected[mode]
+    for bound in (1, 3):
+        config = TrialConfig(
+            trials=40,
+            generator=GeneratorConfig(GeneratorKind.UNIFORM_INT, 5, 5, bound, 0),
+            checks=BENCH_CHECKS,
+            seed=31,
+        )
+        assert run_trials(config).all_passed
