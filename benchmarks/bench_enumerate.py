@@ -58,6 +58,18 @@ seeds), and one uniform bound-3 9x9 game of seed ``--seed``. Each row gives
 ``find_ms`` per game, the median, with ``find_ms_quartiles``, the lower and
 upper quartiles of the ``--repeats`` calls.
 
+Under ``front_end`` it times the input path of every game command, on the
+batches of `FRONT_END_WORKLOADS`: the canonical text of uniform bound-3
+games of consecutive seeds from ``--seed`` (10x10 is the shape and text of
+perfbench's enumerate workload), each figure per game:
+
+* ``parse_game_ms``: `gamefile.parse_game` on the text, tokens to game;
+* ``ranks_ms``: `ZeroSumGame.values` and `ZeroSumGame.ranks` on a fresh,
+  unranked copy of the game;
+* ``digest_ms``: `ZeroSumGame.digest`, which every game command prints, on
+  a game whose ranks are already built, as they are once a grid command has
+  answered.
+
 Under ``startup`` it times fresh interpreters that import this checkout's
 `src/`, from spawn:
 
@@ -112,6 +124,7 @@ from saddles import (
     generate,
     kernels,
     new_game,
+    parse_game,
 )
 from saddles.kernels import (
     _gsp_grid,
@@ -143,6 +156,8 @@ TRIAL_GAMES = 20
 LATIN_SIZES = (4, 5, 6)
 # (size, games) of the batches timed under ``find``.
 FIND_WORKLOADS = ((7, 20), (9, 1))
+# (size, games) of the batches timed under ``front_end``.
+FRONT_END_WORKLOADS = ((10, 20), (70, 1))
 # The commands timed from spawn to exit: two that solve an LP and two that
 # build dominance tables (`enumerate` also its grids).
 STARTUP_COMMANDS = ("value", "nash", "find", "enumerate")
@@ -320,6 +335,43 @@ def find_times(n, count, seed, repeats):
     }
 
 
+def front_end_times(n, count, seed, repeats):
+    texts = [
+        format_game(generate(GeneratorConfig(GeneratorKind.UNIFORM_INT, n, n, 3, seed + k)))
+        for k in range(count)
+    ]
+    games = [parse_game(text) for text in texts]
+    for game in games:
+        game.ranks
+    # One unranked copy of each game per call, warm-up included, made before
+    # the clock starts.
+    copies = iter(
+        [[ZeroSumGame(game.entries) for game in games] for _ in range(repeats + 1)]
+    )
+
+    def parse_all():
+        for text in texts:
+            parse_game(text)
+
+    def rank_all():
+        for copy in next(copies):
+            copy.values
+            copy.ranks
+
+    def digest_all():
+        for game in games:
+            game.digest()
+
+    return {
+        "size": f"{n}x{n}",
+        "bound": 3,
+        "games": count,
+        "parse_game_ms": median_ms(parse_all, repeats) / count,
+        "ranks_ms": median_ms(rank_all, repeats) / count,
+        "digest_ms": median_ms(digest_all, repeats) / count,
+    }
+
+
 def _child_env():
     # The children import the saddles of this checkout, whatever PYTHONPATH
     # the script itself was started with.
@@ -472,6 +524,15 @@ def main():
         print(
             f"{row['size']:>6} {count:>6}"
             + "".join(f" {v:>8.1f}ms" for v in (low, row["find_ms"], high))
+        )
+    doc["front_end"] = []
+    print(f"\n{'input':>6} {'games':>6} {'parse':>10} {'ranks':>10} {'digest':>10}")
+    for n, count in FRONT_END_WORKLOADS:
+        row = front_end_times(n, count, args.seed, args.repeats)
+        doc["front_end"].append(row)
+        print(
+            f"{row['size']:>6} {count:>6}"
+            + "".join(f" {row[k]:>8.3f}ms" for k in ("parse_game_ms", "ranks_ms", "digest_ms"))
         )
     doc["startup"] = startup = startup_times(args.seed, args.repeats)
     print(f"\n{'startup':>18} {'time':>10} {'numpy':>6}")

@@ -210,21 +210,25 @@ class ZeroSumGame:
     def values(self) -> tuple[Fraction, ...]:
         """The distinct entries in ascending order."""
         # Fractions are normalized, so (numerator, denominator) identifies a
-        # value and hashes far faster than the Fraction itself.
-        distinct = {(v.numerator, v.denominator): v for row in self.entries for v in row}
+        # value and hashes far faster than the Fraction itself; one
+        # `as_integer_ratio` call reads both.
+        distinct = {v.as_integer_ratio(): v for row in self.entries for v in row}
         return tuple(sorted(distinct.values()))
 
     @functools.cached_property
     def ranks(self) -> tuple[tuple[int, ...], ...]:
         """Each entry's index in `values`; ranks compare exactly as entries do."""
-        rank = {(v.numerator, v.denominator): i for i, v in enumerate(self.values)}
-        return tuple(tuple(rank[v.numerator, v.denominator] for v in r) for r in self.entries)
+        rank = {v.as_integer_ratio(): i for i, v in enumerate(self.values)}
+        return tuple(tuple(rank[v.as_integer_ratio()] for v in r) for r in self.entries)
 
     def to_text(self) -> str:
-        """Canonical plain-text form: header line, then one line per row."""
+        """Canonical plain-text form: header line, then one line per row.
+
+        Each distinct value is formatted once and the rows are joined from
+        the ranks."""
+        text = [format_rational(v) for v in self.values]
         lines = [f"{self.rows} {self.cols}"]
-        for row in self.entries:
-            lines.append(" ".join(format_rational(v) for v in row))
+        lines.extend(" ".join([text[i] for i in row]) for row in self.ranks)
         return "\n".join(lines) + "\n"
 
     def digest(self) -> str:
@@ -248,9 +252,7 @@ def new_game(
             f"expected {rows * cols} entries for a {rows}x{cols} game, got {len(values)}"
         )
     return ZeroSumGame(
-        entries=tuple(
-            tuple(values[r * cols + c] for c in range(cols)) for r in range(rows)
-        ),
+        entries=tuple(tuple(values[r * cols : (r + 1) * cols]) for r in range(rows)),
         row_labels=tuple(row_labels) if row_labels else (),
         col_labels=tuple(col_labels) if col_labels else (),
     )

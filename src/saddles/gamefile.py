@@ -5,6 +5,13 @@ rows*cols whitespace-separated payoff tokens in row-major order. Tokens are
 integers, exact decimals, or "p/q" rationals with positive q. Lines whose
 first non-blank character is '#' are comments. Parse errors carry 1-based
 line and column positions.
+
+This is the one place where a game command turns payoff text into
+`Fraction`s. Each distinct token is parsed once per file, and every entry
+spelled that way shares its (immutable) value, so a game with few distinct
+payoffs costs few `parse_rational` calls however large it is. A bad token
+is reported at its first occurrence; positions are worked out only when an
+error is raised.
 """
 
 from __future__ import annotations
@@ -20,55 +27,64 @@ class GameParseError(GameInputError):
         self.column = column
 
 
-def _tokens(text: str):
+def _lines(text: str):
+    """(line number, line) of every line that is not a comment."""
     for lineno, line in enumerate(text.splitlines(), start=1):
-        if line.lstrip().startswith("#"):
-            continue
+        if not line.lstrip().startswith("#"):
+            yield lineno, line
+
+
+def _position(text: str, index: int) -> tuple[int, int]:
+    """The 1-based (line, column) of token `index` (0-based) of the file."""
+    for lineno, line in _lines(text):
         col = 0
         for chunk in line.split():
             col = line.index(chunk, col)
-            yield chunk, lineno, col + 1
+            if index == 0:
+                return lineno, col + 1
+            index -= 1
             col += len(chunk)
+    raise IndexError(index)
 
 
 def parse_game(text: str) -> ZeroSumGame:
-    stream = list(_tokens(text))
-    if len(stream) < 2:
+    tokens = [chunk for _, line in _lines(text) for chunk in line.split()]
+    if len(tokens) < 2:
         raise GameParseError("missing header (rows and cols)", 1, 1)
 
     header = []
-    for token, line, column in stream[:2]:
+    for index, token in enumerate(tokens[:2]):
         try:
             value = int(token)
         except ValueError:
             raise GameParseError(
-                f"header must be two integers, got {token!r}", line, column
+                f"header must be two integers, got {token!r}", *_position(text, index)
             ) from None
         if value < 1:
-            raise GameParseError("rows and cols must be positive", line, column)
+            raise GameParseError("rows and cols must be positive", *_position(text, index))
         header.append(value)
     rows, cols = header
 
-    body = stream[2:]
+    body = tokens[2:]
     expected = rows * cols
-    if len(body) < expected:
-        line, column = (body[-1][1], body[-1][2]) if body else (stream[1][1], stream[1][2])
+    if len(body) != expected:
+        # At the last token when too few, at the first surplus one when too many.
+        index = 1 + len(body) if len(body) < expected else 2 + expected
         raise GameParseError(
-            f"expected {expected} payoff entries, found {len(body)}", line, column
-        )
-    if len(body) > expected:
-        _, line, column = body[expected]
-        raise GameParseError(
-            f"expected {expected} payoff entries, found {len(body)}", line, column
+            f"expected {expected} payoff entries, found {len(body)}",
+            *_position(text, index),
         )
 
-    entries = []
-    for token, line, column in body:
+    # The distinct tokens in order of first occurrence, so the first one that
+    # fails to parse is also the first bad token of the file.
+    parsed = dict.fromkeys(body)
+    for token in parsed:
         try:
-            entries.append(parse_rational(token))
+            parsed[token] = parse_rational(token)
         except GameInputError as exc:
-            raise GameParseError(str(exc), line, column) from None
-    return new_game(rows, cols, entries)
+            where = _position(text, 2 + body.index(token))
+            raise GameParseError(str(exc), *where) from None
+    return new_game(rows, cols, [parsed[token] for token in body])
 
 
 def format_game(game: ZeroSumGame) -> str:

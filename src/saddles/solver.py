@@ -97,12 +97,14 @@ def _products(cells, game: ZeroSumGame) -> tuple[ActionProduct, ...]:
 
 @dataclass(frozen=True)
 class GameAnalysis:
-    """One game's dominance tables and grids, each built at most once.
+    """One game's dominance tables, grids and filtered saddles, each built
+    at most once.
 
     The int32 mask tables are built on the first grid request, the GSP grid
     of each dominance mode on the first request for that mode, and that
-    mode's minimality-filtered grid only when a referee asks for it
-    (`minimal_saddles`: weak-strict enumeration, `check` and `verify`).
+    mode's minimality-filtered grid, with the saddles read off it, only when
+    a referee asks for them (`minimal_saddles`: weak-strict enumeration,
+    `check` and `verify`).
     `enumerate_saddles`, `all_gsps`, `min_size_gsps`, `minimal_saddles`,
     `strict_saddle` and the `verify` checks take a game or its analysis, so
     the checks of one campaign trial share it; `find_saddle` and `is_gsp`
@@ -114,6 +116,7 @@ class GameAnalysis:
     game: ZeroSumGame
     _gsp: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _minimal: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _saddles: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @functools.cached_property
     def tables(self):
@@ -147,6 +150,18 @@ class GameAnalysis:
             self._minimal[mode] = found
         return found
 
+    def minimal_saddles(self, mode: DominanceMode) -> SaddleSet:
+        """The saddles under `mode` read off `minimal_grid(mode)`."""
+        found = self._saddles.get(mode)
+        if found is None:
+            minimal = self.minimal_grid(mode)
+            from . import kernels
+
+            cells = kernels.grid_cells(minimal, self.game.cols)
+            found = SaddleSet(mode=mode, saddles=_products(cells, self.game))
+            self._saddles[mode] = found
+        return found
+
 
 def analyze(subject: ZeroSumGame | GameAnalysis) -> GameAnalysis:
     """The analysis passed in, or a fresh one of the game passed in."""
@@ -175,12 +190,7 @@ def minimal_saddles(
 ) -> SaddleSet:
     """All saddles under `mode` from the minimality filter, in every mode:
     the referee that `verify` and the `check` command read."""
-    analysis = analyze(subject)
-    minimal = analysis.minimal_grid(mode)
-    from . import kernels
-
-    cells = kernels.grid_cells(minimal, analysis.game.cols)
-    return SaddleSet(mode=mode, saddles=_products(cells, analysis.game))
+    return analyze(subject).minimal_saddles(mode)
 
 
 def min_size_gsps(

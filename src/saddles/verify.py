@@ -451,7 +451,8 @@ def run_trials(config: TrialConfig, jobs: int = 1) -> CampaignReport:
     """
     if jobs < 1:
         raise GameInputError(f"--jobs must be at least 1, got {jobs}")
-    jobs = min(jobs, os.cpu_count() or 1)
+    if jobs > 1:
+        jobs = min(jobs, os.cpu_count() or 1)
     # Every trial needs numpy, for the grid engine and the generators' RNG.
     # Load both before the clock starts, so that duration_seconds holds no
     # import, and before a pool forks, so that no worker imports them again.

@@ -124,18 +124,36 @@ def test_confrontation_check_on_an_analysis():
 
 def test_one_trial_builds_tables_once_and_each_grid_once(monkeypatch):
     calls = Counter()
+    tables, saddle_grids = kernels.dominance_mask_tables, kernels.saddle_grids
+    minimal_grid, grid_cells = kernels.minimal_grid, kernels.grid_cells
+    # Each packed grid built in the trial, by id, kept alive with its name
+    # ("gsp" or "minimal", mode), so a grid_cells call is counted by the grid
+    # it reads.
+    grids = {}
 
-    def counting(name):
-        original = getattr(kernels, name)
+    def counted_tables(game, dtype):
+        calls[("dominance_mask_tables", dtype)] += 1
+        return tables(game, dtype)
 
-        def counted(game, *args):
-            calls[(name,) + args[:1]] += 1
-            return original(game, *args)
+    def counted_saddle_grids(game, mode, *args):
+        calls[("saddle_grids", mode)] += 1
+        gsp = saddle_grids(game, mode, *args)
+        grids[id(gsp)] = (gsp, ("gsp", mode))
+        return gsp
 
-        monkeypatch.setattr(kernels, name, counted)
+    def named_minimal_grid(gsp, bits):
+        minimal = minimal_grid(gsp, bits)
+        grids[id(minimal)] = (minimal, ("minimal", grids[id(gsp)][1][1]))
+        return minimal
 
-    counting("dominance_mask_tables")
-    counting("saddle_grids")
+    def counted_grid_cells(words, cols):
+        calls[("grid_cells",) + grids[id(words)][1]] += 1
+        return grid_cells(words, cols)
+
+    monkeypatch.setattr(kernels, "dominance_mask_tables", counted_tables)
+    monkeypatch.setattr(kernels, "saddle_grids", counted_saddle_grids)
+    monkeypatch.setattr(kernels, "minimal_grid", named_minimal_grid)
+    monkeypatch.setattr(kernels, "grid_cells", counted_grid_cells)
     config = TrialConfig(
         trials=1,
         generator=GeneratorConfig(GeneratorKind.UNIFORM_INT, 5, 5, 1, 0),
@@ -147,6 +165,12 @@ def test_one_trial_builds_tables_once_and_each_grid_once(monkeypatch):
         ("dominance_mask_tables", np.int32): 1,
         ("saddle_grids", DominanceMode.WEAK): 1,
         ("saddle_grids", DominanceMode.STRICT): 1,
+        # The weak saddles, read once for interchangeability and the Nash
+        # check; the strict ones for uniqueness.
+        ("grid_cells", "minimal", DominanceMode.WEAK): 1,
+        ("grid_cells", "minimal", DominanceMode.STRICT): 1,
+        # Every weak GSP, for the restriction check's sample.
+        ("grid_cells", "gsp", DominanceMode.WEAK): 1,
     }
 
 

@@ -1,3 +1,4 @@
+import io
 import sys
 import time
 from fractions import Fraction
@@ -10,10 +11,12 @@ from saddles import (
     GameInputError,
     GameParseError,
     format_game,
+    format_rational,
     new_game,
     parse_game,
     parse_rational,
 )
+from saddles.cli import main
 from saddles.gamefile import GameParseError as ModuleParseError
 
 
@@ -70,6 +73,32 @@ def test_non_numeric_token():
     assert "line 2, column 1" in str(exc.value)
 
 
+def test_repeated_bad_token_reported_at_first_occurrence():
+    with pytest.raises(GameParseError) as exc:
+        parse_game("2 2\n1 x\nx 1\n")
+    assert (exc.value.line, exc.value.column) == (2, 3)
+    assert "line 2, column 3: malformed numeric token 'x'" in str(exc.value)
+    # The first bad token of the file wins over a later one seen earlier
+    # as a distinct token.
+    with pytest.raises(GameParseError, match="line 3, column 1: .*'1/0'"):
+        parse_game("# header next\n1 4\n1/0 y 1/0 y\n")
+
+
+def test_spellings_of_one_value_share_a_rank():
+    game = parse_game("2 2\n1 1.0\n2/2 10e-1\n")
+    assert game.values == (Fraction(1),)
+    assert game.ranks == ((0, 0), (0, 0))
+    assert game.to_text() == "2 2\n1 1\n1 1\n"
+
+
+def test_repeated_oversized_token_refused(capsys, monkeypatch):
+    text = "10 10\n" + "\n".join(" ".join(["1e99999"] * 10) for _ in range(10)) + "\n"
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    assert main(["enumerate", "-"]) == 2
+    err = capsys.readouterr().err
+    assert "line 2, column 1: '1e99999' expands to more than" in err
+
+
 def test_huge_exponent_rejected_quickly():
     # Fraction would build 10**1000000 for this 9-byte token.
     start = time.perf_counter()
@@ -111,3 +140,30 @@ def test_round_trip(rows, cols, data):
     )
     game = new_game(rows, cols, entries)
     assert parse_game(format_game(game)).entries == game.entries
+
+
+def _reference_text(game):
+    # The canonical text as one format_rational call per entry.
+    lines = [f"{game.rows} {game.cols}"]
+    lines += [" ".join(format_rational(v) for v in row) for row in game.entries]
+    return "\n".join(lines) + "\n"
+
+
+@given(st.integers(1, 5), st.integers(1, 5), st.data())
+def test_text_round_trip_matches_per_entry_reference(rows, cols, data):
+    # A small palette makes values repeat; it holds negative and non-integer
+    # rationals and zero.
+    palette = data.draw(
+        st.lists(
+            st.fractions(min_value=-20, max_value=20, max_denominator=12),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    entries = data.draw(
+        st.lists(st.sampled_from(palette), min_size=rows * cols, max_size=rows * cols)
+    )
+    game = new_game(rows, cols, entries)
+    text = game.to_text()
+    assert text == _reference_text(game)
+    assert parse_game(text) == game
