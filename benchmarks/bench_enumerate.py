@@ -59,16 +59,18 @@ seeds), and one uniform bound-3 9x9 game of seed ``--seed``. Each row gives
 upper quartiles of the ``--repeats`` calls.
 
 Under ``front_end`` it times the input path of every game command, on the
-batches of `FRONT_END_WORKLOADS`: the canonical text of uniform bound-3
-games of consecutive seeds from ``--seed`` (10x10 is the shape and text of
-perfbench's enumerate workload), each figure per game:
+batches of `FRONT_END_WORKLOADS`: the canonical text of games of consecutive
+seeds from ``--seed``. ``uniform`` games are uniform bound-3 games, whose
+few distinct payoffs repeat (10x10 is the shape and text of perfbench's
+enumerate workload). ``distinct`` games have no repeated payoff: the
+distinct-integer generator at the smallest bound that fills the game, and
+``distinct/7`` the same games with every payoff divided by 7, so most
+tokens are "p/7" rationals. Each figure is per game:
 
 * ``parse_game_ms``: `gamefile.parse_game` on the text, tokens to game;
 * ``ranks_ms``: `ZeroSumGame.values` and `ZeroSumGame.ranks` on a fresh,
   unranked copy of the game;
-* ``digest_ms``: `ZeroSumGame.digest`, which every game command prints, on
-  a game whose ranks are already built, as they are once a grid command has
-  answered.
+* ``digest_ms``: `ZeroSumGame.digest`, which every game command prints.
 
 Under ``startup`` it times fresh interpreters that import this checkout's
 `src/`, from spawn:
@@ -156,8 +158,13 @@ TRIAL_GAMES = 20
 LATIN_SIZES = (4, 5, 6)
 # (size, games) of the batches timed under ``find``.
 FIND_WORKLOADS = ((7, 20), (9, 1))
-# (size, games) of the batches timed under ``front_end``.
-FRONT_END_WORKLOADS = ((10, 20), (70, 1))
+# (payoffs, size, games) of the batches timed under ``front_end``.
+FRONT_END_WORKLOADS = (
+    ("uniform", 10, 20),
+    ("distinct", 10, 20),
+    ("distinct/7", 10, 20),
+    ("uniform", 70, 1),
+)
 # The commands timed from spawn to exit: two that solve an LP and two that
 # build dominance tables (`enumerate` also its grids).
 STARTUP_COMMANDS = ("value", "nash", "find", "enumerate")
@@ -335,14 +342,19 @@ def find_times(n, count, seed, repeats):
     }
 
 
-def front_end_times(n, count, seed, repeats):
-    texts = [
-        format_game(generate(GeneratorConfig(GeneratorKind.UNIFORM_INT, n, n, 3, seed + k)))
-        for k in range(count)
-    ]
+def _front_end_game(payoffs, n, seed):
+    if payoffs == "uniform":
+        return generate(GeneratorConfig(GeneratorKind.UNIFORM_INT, n, n, 3, seed))
+    bound = (n * n) // 2
+    game = generate(GeneratorConfig(GeneratorKind.DISTINCT_INT, n, n, bound, seed))
+    if payoffs == "distinct/7":
+        game = ZeroSumGame(tuple(tuple(v / 7 for v in row) for row in game.entries))
+    return game
+
+
+def front_end_times(payoffs, n, count, seed, repeats):
+    texts = [format_game(_front_end_game(payoffs, n, seed + k)) for k in range(count)]
     games = [parse_game(text) for text in texts]
-    for game in games:
-        game.ranks
     # One unranked copy of each game per call, warm-up included, made before
     # the clock starts.
     copies = iter(
@@ -363,9 +375,10 @@ def front_end_times(n, count, seed, repeats):
             game.digest()
 
     return {
+        "payoffs": payoffs,
         "size": f"{n}x{n}",
-        "bound": 3,
         "games": count,
+        "distinct_tokens": statistics.mean(len(set(text.split()[2:])) for text in texts),
         "parse_game_ms": median_ms(parse_all, repeats) / count,
         "ranks_ms": median_ms(rank_all, repeats) / count,
         "digest_ms": median_ms(digest_all, repeats) / count,
@@ -526,12 +539,15 @@ def main():
             + "".join(f" {v:>8.1f}ms" for v in (low, row["find_ms"], high))
         )
     doc["front_end"] = []
-    print(f"\n{'input':>6} {'games':>6} {'parse':>10} {'ranks':>10} {'digest':>10}")
-    for n, count in FRONT_END_WORKLOADS:
-        row = front_end_times(n, count, args.seed, args.repeats)
+    print(
+        f"\n{'payoffs':>10} {'input':>6} {'games':>6} {'tokens':>7}"
+        f" {'parse':>10} {'ranks':>10} {'digest':>10}"
+    )
+    for payoffs, n, count in FRONT_END_WORKLOADS:
+        row = front_end_times(payoffs, n, count, args.seed, args.repeats)
         doc["front_end"].append(row)
         print(
-            f"{row['size']:>6} {count:>6}"
+            f"{payoffs:>10} {row['size']:>6} {count:>6} {row['distinct_tokens']:>7.1f}"
             + "".join(f" {row[k]:>8.3f}ms" for k in ("parse_game_ms", "ranks_ms", "digest_ms"))
         )
     doc["startup"] = startup = startup_times(args.seed, args.repeats)

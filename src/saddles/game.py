@@ -222,20 +222,10 @@ class ZeroSumGame:
         return tuple(tuple(rank[v.as_integer_ratio()] for v in r) for r in self.entries)
 
     def to_text(self) -> str:
-        """Canonical plain-text form: header line, then one line per row.
-
-        On a game already ranked, as every grid command and `find` rank it,
-        each distinct value is formatted once and the rows are joined from
-        the ranks. Otherwise each entry is formatted: ranking just for the
-        text would sort the distinct values, which costs several times the
-        formatting on a game of many distinct rationals."""
-        if "ranks" in self.__dict__:  # where `cached_property` keeps it
-            text = [format_rational(v) for v in self.values]
-            rows = ([text[i] for i in row] for row in self.ranks)
-        else:
-            rows = (map(format_rational, row) for row in self.entries)
+        """Canonical plain-text form: header line, then one line per row."""
         lines = [f"{self.rows} {self.cols}"]
-        lines.extend(" ".join(row) for row in rows)
+        for row in self.entries:
+            lines.append(" ".join(format_rational(v) for v in row))
         return "\n".join(lines) + "\n"
 
     def digest(self) -> str:

@@ -97,14 +97,13 @@ def _products(cells, game: ZeroSumGame) -> tuple[ActionProduct, ...]:
 
 @dataclass(frozen=True)
 class GameAnalysis:
-    """One game's dominance tables, grids and filtered saddles, each built
-    at most once.
+    """One game's dominance tables, GSP grids and filtered saddles, each
+    built at most once.
 
     The int32 mask tables are built on the first grid request, the GSP grid
     of each dominance mode on the first request for that mode, and that
-    mode's minimality-filtered grid, with the saddles read off it, only when
-    a referee asks for them (`minimal_saddles`: weak-strict enumeration,
-    `check` and `verify`).
+    mode's saddles from the minimality filter only when a referee asks for
+    them (`minimal_saddles`: weak-strict enumeration, `check` and `verify`).
     `enumerate_saddles`, `all_gsps`, `min_size_gsps`, `minimal_saddles`,
     `strict_saddle` and the `verify` checks take a game or its analysis, so
     the checks of one campaign trial share it; `find_saddle` and `is_gsp`
@@ -115,7 +114,6 @@ class GameAnalysis:
 
     game: ZeroSumGame
     _gsp: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _minimal: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _saddles: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @functools.cached_property
@@ -138,25 +136,17 @@ class GameAnalysis:
             found = self._gsp[mode] = kernels.saddle_grids(self.game, mode, self.tables)
         return found
 
-    def minimal_grid(self, mode: DominanceMode):
-        """The packed grid of the inclusion-minimal GSPs under `mode`, from
-        the minimality filter."""
-        found = self._minimal.get(mode)
+    def minimal_saddles(self, mode: DominanceMode) -> SaddleSet:
+        """The saddles under `mode` read off the minimality-filtered grid.
+
+        Only the saddles are kept: the filtered grid is dropped once they
+        are read off it."""
+        found = self._saddles.get(mode)
         if found is None:
             gsp = self.gsp_grid(mode)
             from . import kernels
 
-            found = kernels.minimal_grid(gsp, self.game.rows + self.game.cols)
-            self._minimal[mode] = found
-        return found
-
-    def minimal_saddles(self, mode: DominanceMode) -> SaddleSet:
-        """The saddles under `mode` read off `minimal_grid(mode)`."""
-        found = self._saddles.get(mode)
-        if found is None:
-            minimal = self.minimal_grid(mode)
-            from . import kernels
-
+            minimal = kernels.minimal_grid(gsp, self.game.rows + self.game.cols)
             cells = kernels.grid_cells(minimal, self.game.cols)
             found = SaddleSet(mode=mode, saddles=_products(cells, self.game))
             self._saddles[mode] = found

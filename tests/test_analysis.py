@@ -179,8 +179,9 @@ def test_analysis_memoizes_per_mode(a3):
     weak = analysis.gsp_grid(DominanceMode.WEAK)
     assert analysis.gsp_grid(DominanceMode.WEAK) is weak
     assert analysis.gsp_grid(DominanceMode.STRICT) is not weak
-    minimal = analysis.minimal_grid(DominanceMode.WEAK)
-    assert analysis.minimal_grid(DominanceMode.WEAK) is minimal
+    saddles = analysis.minimal_saddles(DominanceMode.WEAK)
+    assert analysis.minimal_saddles(DominanceMode.WEAK) is saddles
+    assert analysis.minimal_saddles(DominanceMode.STRICT) is not saddles
     assert analysis.gsp_grid(DominanceMode.WEAK) is weak
     assert analysis.tables is analysis.tables
 
