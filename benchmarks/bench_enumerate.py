@@ -54,9 +54,12 @@ Under ``find`` it times `solver.find_saddle` under weak dominance, the scan
 of the benchmark's find workload, which builds no grid, on the batches of
 `FIND_WORKLOADS`: the uniform bound-3 7x7 games of 20 consecutive seeds
 from ``--seed`` (the games perfbench's find workload draws for those
-seeds), and one uniform bound-3 9x9 game of seed ``--seed``. Each row gives
-``find_ms`` per game, the median, with ``find_ms_quartiles``, the lower and
-upper quartiles of the ``--repeats`` calls.
+seeds), one uniform bound-3 9x9 game of seed ``--seed``, and the planted
+16x16 and 70x70 games (`planted_saddle_entry`), past the grid budget, where
+the scan is the only path. Each row gives ``find_ms`` per game, the median,
+with ``find_ms_quartiles``, the lower and upper quartiles of the
+``--repeats`` calls, and ``nondominator_calls``, the calls of
+`kernels.non_dominators` per game, counted in one untimed pass.
 
 Under ``front_end`` it times the input path of every game command, on the
 batches of `FRONT_END_WORKLOADS`: the canonical text of games of consecutive
@@ -156,8 +159,8 @@ TRIAL_BOUNDS = (3, 1)
 TRIAL_GAMES = 20
 # k of the cloned Latin squares timed under ``equivalence``.
 LATIN_SIZES = (4, 5, 6)
-# (size, games) of the batches timed under ``find``.
-FIND_WORKLOADS = ((7, 20), (9, 1))
+# (game, size, games) of the batches timed under ``find``.
+FIND_WORKLOADS = (("uniform", 7, 20), ("uniform", 9, 1), ("planted", 16, 1), ("planted", 70, 1))
 # (payoffs, size, games) of the batches timed under ``front_end``.
 FRONT_END_WORKLOADS = (
     ("uniform", 10, 20),
@@ -322,23 +325,44 @@ def equivalence_times(k, repeats):
     }
 
 
-def find_times(n, count, seed, repeats):
-    games = [
-        generate(GeneratorConfig(GeneratorKind.UNIFORM_INT, n, n, 3, seed + k))
-        for k in range(count)
-    ]
+def planted_saddle_entry(r, c):
+    # Entry (2, 5) is the least of its row and the greatest of its column,
+    # and no other entry is both, so {2} x {5} is the saddle `find` returns
+    # on any game of at least 3 rows and 6 columns; the other entries are a
+    # fixed pattern in -3..3.
+    if (r, c) == (2, 5):
+        return 0
+    return 3 if r == 2 else -3 if c == 5 else (r * c) % 7 - 3
+
+
+def find_times(kind, n, count, seed, repeats):
+    if kind == "planted":
+        games = [new_game(n, n, [planted_saddle_entry(r, c) for r in range(n) for c in range(n)])]
+    else:
+        games = [
+            generate(GeneratorConfig(GeneratorKind.UNIFORM_INT, n, n, 3, seed + k))
+            for k in range(count)
+        ]
 
     def find_all():
         for game in games:
             find_saddle(game, DominanceMode.WEAK)
 
+    build, calls = kernels.non_dominators, []
+    kernels.non_dominators = lambda *args: calls.append(None) or build(*args)
+    try:
+        find_all()
+    finally:
+        kernels.non_dominators = build
     low, median, high = quartiles_ms(find_all, repeats, per=count)
     return {
+        "game": kind,
         "size": f"{n}x{n}",
         "bound": 3,
         "games": count,
         "find_ms": median,
         "find_ms_quartiles": [low, high],
+        "nondominator_calls": len(calls) / count,
     }
 
 
@@ -529,14 +553,18 @@ def main():
             + "".join(f" {v:>8.1f}ms" for v in (low, row["check_ms"], high))
         )
     doc["find"] = []
-    print(f"\n{'find':>6} {'games':>6} {'q1':>10} {'median':>10} {'q3':>10}")
-    for n, count in FIND_WORKLOADS:
-        row = find_times(n, count, args.seed, args.repeats)
+    print(
+        f"\n{'find':>8} {'input':>6} {'games':>6} {'q1':>10} {'median':>10} {'q3':>10}"
+        f" {'calls':>7}"
+    )
+    for kind, n, count in FIND_WORKLOADS:
+        row = find_times(kind, n, count, args.seed, args.repeats)
         doc["find"].append(row)
         low, high = row["find_ms_quartiles"]
         print(
-            f"{row['size']:>6} {count:>6}"
+            f"{kind:>8} {row['size']:>6} {count:>6}"
             + "".join(f" {v:>8.1f}ms" for v in (low, row["find_ms"], high))
+            + f" {row['nondominator_calls']:>7.1f}"
         )
     doc["front_end"] = []
     print(

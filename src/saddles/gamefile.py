@@ -17,7 +17,7 @@ error is raised.
 from __future__ import annotations
 
 from .errors import GameInputError
-from .game import ZeroSumGame, new_game, parse_rational
+from .game import ZeroSumGame, parse_rational
 
 
 class GameParseError(GameInputError):
@@ -84,7 +84,10 @@ def parse_game(text: str) -> ZeroSumGame:
         except GameInputError as exc:
             where = _position(text, 2 + body.index(token))
             raise GameParseError(str(exc), *where) from None
-    return new_game(rows, cols, [parsed[token] for token in body])
+    # The entries are Fractions already, so the rows go to the game as they
+    # are, without `new_game`'s per-entry conversion.
+    values = [parsed[token] for token in body]
+    return ZeroSumGame(tuple(tuple(values[r : r + cols]) for r in range(0, expected, cols)))
 
 
 def format_game(game: ZeroSumGame) -> str:

@@ -2,6 +2,7 @@ import gc
 import itertools
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -177,29 +178,70 @@ def test_find_saddle_matches_oracle_order(game):
 
     entries = [list(row) for row in game.entries]
     for mode in (WEAK, STRICT, WRS):
-        expected = min(brute_saddles(entries, mode.value), key=key)
-        assert find_saddle(game, mode) == ActionProduct(*expected)
+        expected = ActionProduct(*min(brute_saddles(entries, mode.value), key=key))
+        assert find_saddle(game, mode) == expected
+        # One opponent mask per chunk puts a chunk boundary between any two masks.
+        with mock.patch.object(solver, "_CHUNK_MASKS", 1):
+            assert find_saddle(game, mode) == expected
 
 
 @pytest.mark.parametrize("mode", [WEAK, STRICT, WRS], ids=["weak", "strict", "weak-strict"])
 def test_find_saddle_same_with_evicting_memo(mode, monkeypatch):
-    # One memo entry per side evicts on nearly every lookup, and no listed
-    # levels rebuild each column level per row set: the products must not move.
+    # Chunks of 1 and of 3 opponent masks split each level into several
+    # chunks, and with each side keeping one chunk they are evicted and
+    # rebuilt on nearly every walk of a level: the products must not move.
+    shapes = [(5, 5, 303, t) for t in range(50)]
+    shapes += [(rows, cols, 304, t) for t in range(10) for rows, cols in ((3, 9), (9, 3))]
     games = [
-        generate(
-            GeneratorConfig(GeneratorKind.UNIFORM_INT, 5, 5, 1 + t % 3, trial_seed(303, t))
-        )
-        for t in range(50)
+        generate(GeneratorConfig(GeneratorKind.UNIFORM_INT, rows, cols, 1 + t % 3, trial_seed(s, t)))
+        for rows, cols, s, t in shapes
     ]
     builds = []
     build = kernels.non_dominators
     monkeypatch.setattr(kernels, "non_dominators", lambda *a: builds.append(a) or build(*a))
     expected = [find_saddle(g, mode) for g in games]
-    kept = len(builds)
-    monkeypatch.setattr(solver, "_MEMO_MASKS", 1)
-    monkeypatch.setattr(solver, "_LISTED_COLS", 0)
-    assert [find_saddle(g, mode) for g in games] == expected
-    assert len(builds) - kept > kept  # the memo did evict
+    default_kept = solver._MEMO_MASKS
+    for cap in (1, 3):
+        monkeypatch.setattr(solver, "_CHUNK_MASKS", cap)
+        counts = []
+        for kept in (default_kept, cap):
+            monkeypatch.setattr(solver, "_MEMO_MASKS", kept)
+            builds.clear()
+            assert [find_saddle(g, mode) for g in games] == expected
+            assert max(len(args[3]) for args in builds) <= cap
+            counts.append(len(builds))
+        assert counts[1] > counts[0]  # the one-chunk cache did evict
+
+
+def test_side_rule_chunks_with_any_chunks_dropped():
+    # A walk of a level gives its masks in `combinations` order, in chunks of
+    # 1, 2, 4, ... masks, whichever of them the cache still holds; the scan's
+    # LRU order only ever drops a level's first chunks, so drop others too.
+    g = generate(GeneratorConfig(GeneratorKind.UNIFORM_INT, 3, 9, 1, 5))
+    ge, gt, _, _ = kernels.dominance_mask_tables(g, object)
+    rule = solver._SideRule(ge, gt, 3, 9, WEAK)
+    rng = random.Random(7)
+    for level in (4, 3, 4, 5, 4):
+        expected = [sum(c) for c in itertools.combinations([1 << i for i in range(9)], level)]
+        for key in [key for key in rule.cache if rng.random() < 0.5]:
+            rule.kept -= len(rule.cache.pop(key)[0])
+        walked = [chunk[0] for chunk in rule.chunks(level)]
+        assert [len(masks) for masks in walked][:4] == [1, 2, 4, 8]
+        assert [mask for masks in walked for mask in masks] == expected
+
+
+def test_find_saddle_one_kernel_call_per_chunk(monkeypatch):
+    # A 7x7 game whose smallest weak saddle is the full product, so the scan
+    # walks every level of both sides. With chunks doubling from 1 mask, the
+    # levels of 7, 21, 35, 35, 21, 7 and 1 masks take 3, 5, 6, 6, 5, 3 and 1
+    # chunks, 29 a side: each chunk's sets are built at most once, 58 kernel
+    # calls, where one call per opponent mask made about 250.
+    g = generate(GeneratorConfig(GeneratorKind.UNIFORM_INT, 7, 7, 3, 3))
+    builds = []
+    build = kernels.non_dominators
+    monkeypatch.setattr(kernels, "non_dominators", lambda *a: builds.append(a) or build(*a))
+    assert find_saddle(g, WEAK) == g.full_product()
+    assert len(builds) <= 58
 
 
 # --- iterated elimination -------------------------------------------------
