@@ -54,9 +54,13 @@ Under ``find`` it times `solver.find_saddle` under weak dominance, the scan
 of the benchmark's find workload, which builds no grid, on the batches of
 `FIND_WORKLOADS`: the uniform bound-3 7x7 games of 20 consecutive seeds
 from ``--seed`` (the games perfbench's find workload draws for those
-seeds), one uniform bound-3 9x9 game of seed ``--seed``, and the planted
-16x16 and 70x70 games (`planted_saddle_entry`), past the grid budget, where
-the scan is the only path. Each row gives ``find_ms`` per game, the median,
+seeds), one uniform bound-3 9x9 game of seed ``--seed``, the planted
+16x16 and 70x70 games (`planted_saddle_entry`), whose 1x1 saddle the scan
+meets among single rows, and the 40x40 ``block`` game
+(`planted_block_entry`), whose 2x2 saddle it meets after the column masks
+of 3 actions for every row, so its chunks grow to the element cap of
+`solver._CHUNK_CELLS`. The last three are past the grid budget, where the
+scan is the only path. Each row gives ``find_ms`` per game, the median,
 with ``find_ms_quartiles``, the lower and upper quartiles of the
 ``--repeats`` calls, and ``nondominator_calls``, the calls of
 `kernels.non_dominators` per game, counted in one untimed pass.
@@ -160,7 +164,13 @@ TRIAL_GAMES = 20
 # k of the cloned Latin squares timed under ``equivalence``.
 LATIN_SIZES = (4, 5, 6)
 # (game, size, games) of the batches timed under ``find``.
-FIND_WORKLOADS = (("uniform", 7, 20), ("uniform", 9, 1), ("planted", 16, 1), ("planted", 70, 1))
+FIND_WORKLOADS = (
+    ("uniform", 7, 20),
+    ("uniform", 9, 1),
+    ("planted", 16, 1),
+    ("planted", 70, 1),
+    ("block", 40, 1),
+)
 # (payoffs, size, games) of the batches timed under ``front_end``.
 FRONT_END_WORKLOADS = (
     ("uniform", 10, 20),
@@ -335,9 +345,20 @@ def planted_saddle_entry(r, c):
     return 3 if r == 2 else -3 if c == 5 else (r * c) % 7 - 3
 
 
+def planted_block_entry(r, c):
+    # Rows {2, 3} x columns {5, 6} hold matching pennies; the block's rows
+    # read 3 and its columns -3 everywhere else, and the other entries are a
+    # fixed pattern in -2..2, so the block is the only saddle on any game of
+    # at least 4 rows and 7 columns.
+    if r in (2, 3) and c in (5, 6):
+        return 1 if (r == 2) == (c == 5) else -1
+    return 3 if r in (2, 3) else -3 if c in (5, 6) else (r * c) % 5 - 2
+
+
 def find_times(kind, n, count, seed, repeats):
-    if kind == "planted":
-        games = [new_game(n, n, [planted_saddle_entry(r, c) for r in range(n) for c in range(n)])]
+    if kind in ("planted", "block"):
+        entry = planted_saddle_entry if kind == "planted" else planted_block_entry
+        games = [new_game(n, n, [entry(r, c) for r in range(n) for c in range(n)])]
     else:
         games = [
             generate(GeneratorConfig(GeneratorKind.UNIFORM_INT, n, n, 3, seed + k))

@@ -35,9 +35,9 @@ the GSPs with the fewest actions |R| + |C|. Under weak and under strict
 dominance those are exactly the saddles (see `solver`), so the answer paths
 read them; the filter stays for weak-strict dominance and the referees.
 
-The grid and `find`'s scan (`solver._SideRule`, one call per chunk of up to
-`solver._CHUNK_MASKS` opponent masks) take their non-dominator sets from one
-function, `non_dominators`, over one bitmask dominance test,
+The grid and `find`'s scan (`solver._SideRule`, one call per chunk of
+opponent masks, at most `solver._CHUNK_CELLS` elements a call) take their
+non-dominator sets from one function, `non_dominators`, over one bitmask dominance test,
 `mask_dominates`.
 
 This is the one module of the package that imports numpy at module level,

@@ -227,12 +227,17 @@ def strict_saddle(subject: ZeroSumGame | GameAnalysis) -> ActionProduct:
 
 # What one `find_saddle` call keeps and builds. Each side's cache holds the
 # sets of at most 2^16 opponent masks, all of a 16-action opponent side, so
-# it never evicts on games up to 16x16. One kernel call builds the sets of at
-# most `_CHUNK_MASKS` masks; each level's chunks start at one mask and
-# double, so a scan that stops early in a wide level builds few sets: fixed
-# 256-mask chunks took `find` on a planted 70x70 game from 53 to 87-114 ms.
+# it never evicts on games up to 16x16. One kernel call on a `count`-action
+# side makes temporaries of `count`^2 python ints per opponent mask, so a
+# chunk holds at most `_CHUNK_CELLS` // `count`^2 masks, and at least one:
+# 167 on a 7-action side, 5 on a 40-action side, 1 past 64 actions. Each
+# level's chunks start at one mask and double up to that cap, so a scan
+# that stops early in a wide level builds few sets. On a 34x34 game whose
+# only saddle is a 2x2 block, caps of 1, 4, 8, 16, 64 and 256 masks read
+# 642, 462, 453, 454, 476 and 557 ms per `find` and 5.3, 3.4, 3.3, 3.6,
+# 5.0 and 10.9 MB of peak RSS (one mask per call, the old memo: 563 ms).
 _MEMO_MASKS = 1 << 16
-_CHUNK_MASKS = 256
+_CHUNK_CELLS = 1 << 13
 
 
 class _SideRule:
@@ -246,8 +251,8 @@ class _SideRule:
     opponent mask's nd sets, its must-meet masks.
 
     `chunks(level)` yields the opponent masks of `level` actions in
-    `combinations` order, in runs of 1, 2, 4, ... masks up to `_CHUNK_MASKS`,
-    as [masks, must-meet tuples or None] lists; `meet` fills in a chunk's
+    `combinations` order, in runs of 1, 2, 4, ... masks up to `cap`, as
+    [masks, must-meet tuples or None] lists; `meet` fills in a chunk's
     must-meet tuples with one kernel call the first time the scan needs
     them. The chunks live as long as the rule and are dropped least
     recently used first once they hold more than `_MEMO_MASKS` (2^16)
@@ -258,6 +263,7 @@ class _SideRule:
     def __init__(self, ge, gt, count: int, opp_count: int, mode: DominanceMode):
         self.ge, self.gt, self.count, self.mode = ge, gt, count, mode
         self.opp_bits = [1 << i for i in range(opp_count)]
+        self.cap = max(1, _CHUNK_CELLS // (count * count))  # masks per chunk
         self.cache = collections.OrderedDict()  # (level, start) -> chunk
         self.kept = 0  # opponent masks in the cache
 
@@ -270,7 +276,7 @@ class _SideRule:
             key = (level, start)
             chunk = self.cache.get(key)
             if chunk is None:
-                length = min(start + 1, _CHUNK_MASKS, end - start)
+                length = min(start + 1, self.cap, end - start)
                 # Skip the masks of the cached chunks since the last one read.
                 next(itertools.islice(combos, start - read, start - read), None)
                 # A list: tuples built from an iterator are resized into their

@@ -43,6 +43,18 @@ def planted_saddle_entry(r, c):
     return 3 if r == 2 else -3 if c == 5 else (r * c) % 7 - 3
 
 
+def planted_block_entry(r, c):
+    # Rows {2, 3} x columns {5, 6} hold matching pennies, which has no smaller
+    # GSP; the block's rows read 3 and its columns -3 everywhere else, so each
+    # outside action is strictly dominated, and the other entries are a fixed
+    # pattern in -2..2. That block is the only saddle in every mode on any
+    # game of at least 4 rows and 7 columns, so `find` walks the column masks
+    # of 3 actions for every single row before it.
+    if r in (2, 3) and c in (5, 6):
+        return 1 if (r == 2) == (c == 5) else -1
+    return 3 if r in (2, 3) else -3 if c in (5, 6) else (r * c) % 5 - 2
+
+
 @st.composite
 def cloned_games(draw, max_size=4):
     """A base matrix of bound-1 integers or non-integer rationals, with rows

@@ -29,7 +29,7 @@ from saddles import (
 )
 from saddles import kernels, solver
 
-from conftest import cloned_games, planted_saddle_entry
+from conftest import cloned_games, planted_block_entry, planted_saddle_entry
 from oracles import brute_saddles
 
 WEAK = DominanceMode.WEAK
@@ -181,15 +181,17 @@ def test_find_saddle_matches_oracle_order(game):
         expected = ActionProduct(*min(brute_saddles(entries, mode.value), key=key))
         assert find_saddle(game, mode) == expected
         # One opponent mask per chunk puts a chunk boundary between any two masks.
-        with mock.patch.object(solver, "_CHUNK_MASKS", 1):
+        with mock.patch.object(solver, "_CHUNK_CELLS", 1):
             assert find_saddle(game, mode) == expected
 
 
 @pytest.mark.parametrize("mode", [WEAK, STRICT, WRS], ids=["weak", "strict", "weak-strict"])
 def test_find_saddle_same_with_evicting_memo(mode, monkeypatch):
-    # Chunks of 1 and of 3 opponent masks split each level into several
-    # chunks, and with each side keeping one chunk they are evicted and
-    # rebuilt on nearly every walk of a level: the products must not move.
+    # Element budgets of 1 and of 75 cap chunks at 1 and at 3 opponent masks
+    # on 5-action sides (1 and 8 on 3-action sides), splitting each level into
+    # several chunks, and with each side keeping one 5-action chunk they are
+    # evicted and rebuilt on nearly every walk of a level: the products must
+    # not move.
     shapes = [(5, 5, 303, t) for t in range(50)]
     shapes += [(rows, cols, 304, t) for t in range(10) for rows, cols in ((3, 9), (9, 3))]
     games = [
@@ -201,14 +203,14 @@ def test_find_saddle_same_with_evicting_memo(mode, monkeypatch):
     monkeypatch.setattr(kernels, "non_dominators", lambda *a: builds.append(a) or build(*a))
     expected = [find_saddle(g, mode) for g in games]
     default_kept = solver._MEMO_MASKS
-    for cap in (1, 3):
-        monkeypatch.setattr(solver, "_CHUNK_MASKS", cap)
+    for cells, chunk in ((1, 1), (75, 3)):
+        monkeypatch.setattr(solver, "_CHUNK_CELLS", cells)
         counts = []
-        for kept in (default_kept, cap):
+        for kept in (default_kept, chunk):
             monkeypatch.setattr(solver, "_MEMO_MASKS", kept)
             builds.clear()
             assert [find_saddle(g, mode) for g in games] == expected
-            assert max(len(args[3]) for args in builds) <= cap
+            assert all(len(a[3]) == 1 or len(a[3]) * a[2] ** 2 <= cells for a in builds)
             counts.append(len(builds))
         assert counts[1] > counts[0]  # the one-chunk cache did evict
 
@@ -242,6 +244,26 @@ def test_find_saddle_one_kernel_call_per_chunk(monkeypatch):
     monkeypatch.setattr(kernels, "non_dominators", lambda *a: builds.append(a) or build(*a))
     assert find_saddle(g, WEAK) == g.full_product()
     assert len(builds) <= 58
+
+
+@pytest.mark.parametrize("mode", [WEAK, STRICT, WRS], ids=["weak", "strict", "weak-strict"])
+def test_find_saddle_kernel_calls_within_element_budget(mode, monkeypatch):
+    # On a 12x12 game whose only saddle is a 2x2 block, the scan walks the
+    # 220 column masks of 3 actions for each single row, so the row side's
+    # chunks grow to the cap of `_CHUNK_CELLS` // 144 masks: no kernel call
+    # may make more than that many elements, at the default budget or at a
+    # budget of 3 masks, and the block must come back either way.
+    g = new_game(12, 12, [planted_block_entry(r, c) for r in range(12) for c in range(12)])
+    block = ActionProduct((2, 3), (5, 6))
+    builds = []
+    build = kernels.non_dominators
+    monkeypatch.setattr(kernels, "non_dominators", lambda *a: builds.append(a) or build(*a))
+    for cells in (solver._CHUNK_CELLS, 3 * 144):
+        monkeypatch.setattr(solver, "_CHUNK_CELLS", cells)
+        builds.clear()
+        assert find_saddle(g, mode) == block
+        sizes = [len(a[3]) * a[2] ** 2 for a in builds]
+        assert max(sizes) == cells // 144 * 144  # the cap was reached, not passed
 
 
 # --- iterated elimination -------------------------------------------------
