@@ -58,7 +58,7 @@ seeds), one uniform bound-3 9x9 game of seed ``--seed``, the planted
 16x16 and 70x70 games (`planted_saddle_entry`), whose 1x1 saddle the scan
 meets among single rows, and the 40x40 ``block`` game
 (`planted_block_entry`), whose 2x2 saddle it meets after the column masks
-of 3 actions for every row, so its chunks grow to the element cap of
+of 3 actions for every row, in chunks that fill the element cap of
 `solver._CHUNK_CELLS`. The last three are past the grid budget, where the
 scan is the only path. Each row gives ``find_ms`` per game, the median,
 with ``find_ms_quartiles``, the lower and upper quartiles of the

@@ -15,8 +15,6 @@ from .dominance import (
     row_dominates,
     set_dominates_cols,
     set_dominates_rows,
-    undominated_cols,
-    undominated_rows,
 )
 from .equilibrium import (
     MixedStrategyPair,
@@ -47,7 +45,6 @@ from .solver import (
     enumerate_saddles,
     find_saddle,
     is_gsp,
-    min_size_gsps,
     minimal_saddles,
     permutation_equivalent,
     strict_saddle,
@@ -113,7 +110,6 @@ __all__ = [
     "is_gsp",
     "is_nash",
     "iterated_elimination",
-    "min_size_gsps",
     "minimal_saddles",
     "nash_equilibrium",
     "new_game",
@@ -127,6 +123,4 @@ __all__ = [
     "set_dominates_rows",
     "strict_saddle",
     "trial_seed",
-    "undominated_cols",
-    "undominated_rows",
 ]

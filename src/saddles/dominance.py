@@ -14,8 +14,8 @@ The column player maximizes the negated matrix, so column dominance is row
 dominance with the two compared payoff sequences swapped. Every pair and set
 question goes through one implementation, `_set_dominates`, which takes the
 side, checks its index sets once per call and then compares payoffs; a pair
-is a set of one. Iterated elimination and the undominated actions live here
-too, on the one rule that identical rivals never eliminate each other.
+is a set of one. Iterated elimination lives here too, on the rule that
+identical rivals never eliminate each other.
 Everything here compares payoffs; the same rule on the packed comparison
 tables, `kernels.mask_dominates`, lives with the bitmask kernels.
 """
@@ -151,24 +151,6 @@ def _dominated_by_rival(game, columns, action, rivals, opponents, mode) -> bool:
             _lines(game, columns, rival, action, opponents) for rival in rivals
         )
     )
-
-
-def _undominated(game: ZeroSumGame, columns: bool, mode: DominanceMode) -> tuple[int, ...]:
-    shape = (game.rows, game.cols)
-    own, opp = range(shape[columns]), range(shape[not columns])
-    return tuple(
-        a for a in own if not _dominated_by_rival(game, columns, a, own, opp, mode)
-    )
-
-
-def undominated_rows(game: ZeroSumGame, mode: DominanceMode) -> tuple[int, ...]:
-    """Rows not dominated by any non-identical row w.r.t. all columns."""
-    return _undominated(game, False, mode)
-
-
-def undominated_cols(game: ZeroSumGame, mode: DominanceMode) -> tuple[int, ...]:
-    """Column mirror of `undominated_rows`."""
-    return _undominated(game, True, mode)
 
 
 def iterated_elimination(game: ZeroSumGame, mode: DominanceMode) -> ActionProduct:

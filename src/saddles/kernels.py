@@ -35,10 +35,11 @@ the GSPs with the fewest actions |R| + |C|. Under weak and under strict
 dominance those are exactly the saddles (see `solver`), so the answer paths
 read them; the filter stays for weak-strict dominance and the referees.
 
-The grid and `find`'s scan (`solver._SideRule`, one call per chunk of
-opponent masks, at most `solver._CHUNK_CELLS` elements a call) take their
-non-dominator sets from one function, `non_dominators`, over one bitmask dominance test,
-`mask_dominates`.
+The grid and `find`'s scan take their non-dominator sets from one
+function, `non_dominators`, over one bitmask dominance test,
+`mask_dominates`. The scan (`solver._SideRule`) calls it once per chunk of
+opponent masks, `solver._CHUNK_CELLS` // (actions)^2 masks a chunk, and at
+least one.
 
 This is the one module of the package that imports numpy at module level,
 and it is loaded when tables or grids are first built.

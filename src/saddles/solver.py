@@ -30,10 +30,8 @@ numpy.
 
 from __future__ import annotations
 
-import collections
 import functools
 import itertools
-import math
 from dataclasses import dataclass, field
 
 from .dominance import DominanceMode, set_dominates_cols, set_dominates_rows
@@ -107,12 +105,12 @@ class GameAnalysis:
     of each dominance mode on the first request for that mode, and that
     mode's saddles from the minimality filter only when a referee asks for
     them (`minimal_saddles`: weak-strict enumeration, `check` and `verify`).
-    `enumerate_saddles`, `all_gsps`, `min_size_gsps`, `minimal_saddles`,
-    `strict_saddle` and the `verify` checks take a game or its analysis, so
-    the checks of one campaign trial share it; `find_saddle` and `is_gsp`
-    take only a game, and so does `dominance.iterated_elimination`, which
-    needs no tables. Nothing is cached beyond the analysis itself, which
-    lives as long as its caller keeps it.
+    `enumerate_saddles`, `all_gsps`, `minimal_saddles`, `strict_saddle` and
+    the `verify` checks take a game or its analysis, so the checks of one
+    campaign trial share it; `find_saddle` and `is_gsp` take only a game,
+    and so does `dominance.iterated_elimination`, which needs no tables.
+    Nothing is cached beyond the analysis itself, which lives as long as
+    its caller keeps it.
     """
 
     game: ZeroSumGame
@@ -169,13 +167,18 @@ def enumerate_saddles(
     Builds the GSP grid over every nonempty product of action subsets, so
     the cost is 2^(rows+cols) cells; a game over the grid budget raises
     CapacityError before anything is built. Under weak and strict dominance
-    the saddles are the GSPs of fewest actions (`min_size_gsps`); under
-    weak-strict dominance they come from the minimality filter
+    the saddles are the GSPs of fewest actions (`kernels.min_size_cells`);
+    under weak-strict dominance they come from the minimality filter
     (`minimal_saddles`).
     """
     if mode is DominanceMode.WEAK_REQUIRE_STRICT:
         return minimal_saddles(subject, mode)
-    return SaddleSet(mode=mode, saddles=min_size_gsps(subject, mode))
+    analysis = analyze(subject)
+    gsp = analysis.gsp_grid(mode)
+    from . import kernels
+
+    cells = kernels.min_size_cells(gsp, analysis.game.cols)
+    return SaddleSet(mode=mode, saddles=_products(cells, analysis.game))
 
 
 def minimal_saddles(
@@ -184,18 +187,6 @@ def minimal_saddles(
     """All saddles under `mode` from the minimality filter, in every mode:
     the referee that `verify` and the `check` command read."""
     return analyze(subject).minimal_saddles(mode)
-
-
-def min_size_gsps(
-    subject: ZeroSumGame | GameAnalysis, mode: DominanceMode
-) -> tuple[ActionProduct, ...]:
-    """The GSPs with the fewest actions |R| + |C|, lexicographically sorted:
-    the saddles under weak and under strict dominance."""
-    analysis = analyze(subject)
-    gsp = analysis.gsp_grid(mode)
-    from . import kernels
-
-    return _products(kernels.min_size_cells(gsp, analysis.game.cols), analysis.game)
 
 
 def all_gsps(
@@ -225,17 +216,13 @@ def strict_saddle(subject: ZeroSumGame | GameAnalysis) -> ActionProduct:
     return found.saddles[0]
 
 
-# What one `find_saddle` call keeps and builds. Each side's cache holds the
-# sets of at most 2^16 opponent masks, all of a 16-action opponent side, so
-# it never evicts on games up to 16x16. One kernel call on a `count`-action
-# side makes temporaries of `count`^2 python ints per opponent mask, so a
-# chunk holds at most `_CHUNK_CELLS` // `count`^2 masks, and at least one:
-# 167 on a 7-action side, 5 on a 40-action side, 1 past 64 actions. Each
-# level's chunks start at one mask and double up to that cap, so a scan
-# that stops early in a wide level builds few sets. On a 34x34 game whose
-# only saddle is a 2x2 block, caps of 1, 4, 8, 16, 64 and 256 masks read
-# 642, 462, 453, 454, 476 and 557 ms per `find` and 5.3, 3.4, 3.3, 3.6,
-# 5.0 and 10.9 MB of peak RSS (one mask per call, the old memo: 563 ms).
+# What one `find_saddle` call keeps and builds. Each side keeps the chunks
+# of at most 2^16 opponent masks, all of a 16-action opponent side, so it
+# keeps every chunk it walks on games up to 16x16. One kernel call on a
+# `count`-action side makes temporaries of `count`^2 python ints per
+# opponent mask, so a chunk holds `_CHUNK_CELLS` // `count`^2 masks, and at
+# least one: 167 on a 7-action side, 5 on a 40-action side, 1 past 64
+# actions.
 _MEMO_MASKS = 1 << 16
 _CHUNK_CELLS = 1 << 13
 
@@ -251,47 +238,40 @@ class _SideRule:
     opponent mask's nd sets, its must-meet masks.
 
     `chunks(level)` yields the opponent masks of `level` actions in
-    `combinations` order, in runs of 1, 2, 4, ... masks up to `cap`, as
-    [masks, must-meet tuples or None] lists; `meet` fills in a chunk's
-    must-meet tuples with one kernel call the first time the scan needs
-    them. The chunks live as long as the rule and are dropped least
-    recently used first once they hold more than `_MEMO_MASKS` (2^16)
-    opponent masks, each with `count` masks of `count` bits: at worst 2^16 x
-    `count` python ints, 16 x 2^16 of them for a 16-action side.
+    `combinations` order, `cap` masks a chunk (the level's last may hold
+    fewer), as [masks, must-meet tuples or None] lists; `meet` fills in a
+    chunk's must-meet tuples with one kernel call the first time the scan
+    needs them. Each level keeps the chunks walked, in order, while they fit
+    in the side's `_MEMO_MASKS` (2^16) opponent masks; it stops at the
+    first chunk that does not fit, so what a level keeps is a prefix of it,
+    which a later walk yields before it resumes `combinations` past it. A side so holds at most 2^16 opponent masks
+    and one chunk more, each with `count` masks of `count` bits.
     """
 
     def __init__(self, ge, gt, count: int, opp_count: int, mode: DominanceMode):
         self.ge, self.gt, self.count, self.mode = ge, gt, count, mode
         self.opp_bits = [1 << i for i in range(opp_count)]
         self.cap = max(1, _CHUNK_CELLS // (count * count))  # masks per chunk
-        self.cache = collections.OrderedDict()  # (level, start) -> chunk
-        self.kept = 0  # opponent masks in the cache
+        self.kept = [[] for _ in range(opp_count + 1)]  # per level, a prefix
+        self.room = _MEMO_MASKS  # opponent masks the side may still keep
 
     def chunks(self, level: int):
         """The chunks of the opponent masks of `level` actions, in order."""
+        kept = self.kept[level]
+        yield from kept
         combos = itertools.combinations(self.opp_bits, level)
-        start = read = 0  # read: combinations taken from `combos` so far
-        end = math.comb(len(self.opp_bits), level)
-        while start < end:
-            key = (level, start)
-            chunk = self.cache.get(key)
-            if chunk is None:
-                length = min(start + 1, self.cap, end - start)
-                # Skip the masks of the cached chunks since the last one read.
-                next(itertools.islice(combos, start - read, start - read), None)
-                # A list: tuples built from an iterator are resized into their
-                # size, and the free lists of those sizes then filled up and
-                # held about 0.9 MB on a stream of 7x7 games.
-                chunk = [list(map(sum, itertools.islice(combos, length))), None]
-                read = start + length
-                self.cache[key] = chunk
-                self.kept += length
-                while self.kept > _MEMO_MASKS:
-                    self.kept -= len(self.cache.popitem(last=False)[1][0])
-            else:
-                self.cache.move_to_end(key)
+        rest = itertools.islice(combos, len(kept) * self.cap, None)  # past the prefix
+        keep = True
+        # Lists: tuples built from an iterator are resized into their size,
+        # and the free lists of those sizes then filled up and held about
+        # 0.9 MB on a stream of 7x7 games.
+        while masks := list(map(sum, itertools.islice(rest, self.cap))):
+            chunk = [masks, None]
+            keep = keep and len(masks) <= self.room
+            if keep:
+                kept.append(chunk)
+                self.room -= len(masks)
             yield chunk
-            start += len(chunk[0])
 
     def meet(self, chunk) -> list[tuple[int, ...]]:
         """The must-meet masks of each of a chunk's opponent masks."""

@@ -8,11 +8,11 @@ the distinct-payoff case, the subgame restriction lemma (inside a weak GSP,
 a product is a GSP of the game iff it is one of that subgame), and
 value/equilibrium consistency of saddles, and the minimum-size rule that
 `enumerate_saddles` relies on. Every check reads the saddles from the
-minimality filter (`solver.minimal_saddles`), never from the fast path of
-`enumerate_saddles`. `run_trials` drives them over
-seeded random campaigns and reports replayable witnesses for any failure:
-these properties admit no exceptions, so a single failed trial is a
-falsification, not noise.
+minimality filter (`solver.minimal_saddles`); only `check_min_size` also
+reads the fast path of `enumerate_saddles`, to compare the two.
+`run_trials` drives them over seeded random campaigns and reports
+replayable witnesses for any failure: these properties admit no exceptions,
+so a single failed trial is a falsification, not noise.
 """
 
 from __future__ import annotations
@@ -45,8 +45,8 @@ from .solver import (
     SaddleSet,
     all_gsps,
     analyze,
+    enumerate_saddles,
     is_gsp,
-    min_size_gsps,
     minimal_saddles,
     permutation_equivalent,
 )
@@ -200,7 +200,7 @@ def check_min_size(subject: ZeroSumGame | GameAnalysis) -> CheckVerdict:
     problems = []
     for mode in (DominanceMode.WEAK, DominanceMode.STRICT):
         filtered = minimal_saddles(analysis, mode).saddles
-        smallest = min_size_gsps(analysis, mode)
+        smallest = enumerate_saddles(analysis, mode).saddles
         if filtered != smallest:
             problems.append(
                 f"{mode.value}: saddles {_listed(filtered)} "

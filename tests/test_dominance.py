@@ -10,8 +10,6 @@ from saddles import (
     row_dominates,
     set_dominates_cols,
     set_dominates_rows,
-    undominated_cols,
-    undominated_rows,
 )
 
 WEAK = DominanceMode.WEAK
@@ -83,22 +81,6 @@ def test_set_dominance_cols_exists(a1):
     witness = set_dominates_cols(a1, [0, 1, 2], [3, 4], [0, 1], WEAK)
     assert witness is not None
     assert set(witness.mapping) == {3, 4}
-
-
-def test_undominated_rows_golden(a1):
-    assert undominated_rows(a1, WEAK) == (0, 1, 2, 3)
-
-
-def test_undominated_constant_game():
-    g = new_game(2, 2, [7, 7, 7, 7])
-    assert undominated_rows(g, STRICT) == (0, 1)
-    assert undominated_rows(g, WEAK) == (0, 1)  # identical rows all retained
-    assert undominated_cols(g, WEAK) == (0, 1)
-
-
-def test_undominated_duplicate_rows_retained():
-    g = new_game(3, 2, [1, 2, 1, 2, 0, 0])
-    assert undominated_rows(g, WEAK) == (0, 1)  # duplicates survive, r3 falls
 
 
 @given(small_games(), st.data())

@@ -8,8 +8,7 @@ dominance functions is written into one canonical text and hashed:
 * the `set_dominates_rows` / `set_dominates_cols` witness mapping (or its
   absence) for every nonempty dominating set against its complement, under
   both restrictions;
-* `undominated_rows`, `undominated_cols`, `iterated_elimination` and
-  `find_saddle`.
+* `iterated_elimination` and `find_saddle`.
 
 The digests were recorded from the implementation that wrote the row and
 column rules out separately, so any drift in the shared implementation shows.
@@ -33,8 +32,6 @@ from saddles import (
     set_dominates_cols,
     set_dominates_rows,
     trial_seed,
-    undominated_cols,
-    undominated_rows,
 )
 
 MODES = (DominanceMode.WEAK, DominanceMode.STRICT, DominanceMode.WEAK_REQUIRE_STRICT)
@@ -75,7 +72,6 @@ def _transcript(game, mode):
                     dominated = [a for a in range(own) if a not in dominating]
                     found = group(game, dominating, dominated, restriction, mode)
                     lines.append(f"{name}-set {dominating} {_witness(found)}")
-    lines.append(f"undominated {undominated_rows(game, mode)} {undominated_cols(game, mode)}")
     for label, product in (
         ("elimination", iterated_elimination(game, mode)),
         ("find", find_saddle(game, mode)),
@@ -95,109 +91,109 @@ U, T, C, D = (
 # SHA-256 of its weak, strict and weak-strict transcripts.
 CASES = [
     ((U, 1, 1, 1, 0), (
-        "b4b34b6b657377d2ac82b62e9480b485590a9595b78bf3f0c334223413045e31",
-        "bce9fe6d43bf8d3b9bcf6f504c647ff617c42c0c5ce567b8e2b0ea3b04f49bd5",
-        "bce9fe6d43bf8d3b9bcf6f504c647ff617c42c0c5ce567b8e2b0ea3b04f49bd5",
+        "469ebfa745b134db1cbca0cb575316cad0b650001fa2793ee1e385afad0676fa",
+        "d0c6e11ba3cafb14ed3ec4ffb3549595ff44353693c7f3496998f39d0e0958ae",
+        "d0c6e11ba3cafb14ed3ec4ffb3549595ff44353693c7f3496998f39d0e0958ae",
     )),
     ((U, 1, 4, 1, 1), (
-        "5a520d684845879f7ef2e75042e2c2861d92a4555132ad91957a07763728ff47",
-        "225bc6d8a51620955774155242500bece4d5bd0cae6afd12be447f44b29c020c",
-        "225bc6d8a51620955774155242500bece4d5bd0cae6afd12be447f44b29c020c",
+        "a07f4143d0bf65a6169eee6d42783268a57ce5832e7a3399bd8e1af16dfcab1d",
+        "647252d1bcb045ae0a74bc0e71a3c2d29be5432cb9f89f431dde7ba4b6ac2c9e",
+        "647252d1bcb045ae0a74bc0e71a3c2d29be5432cb9f89f431dde7ba4b6ac2c9e",
     )),
     ((U, 4, 1, 1, 2), (
-        "7293c13c08ec2ddf27f9abb9b6ba2a1f122393e9776eeb81234e68a7746465fa",
-        "7e3c821740065b98c4e10792f15827ef6183150ae174aff320bf9e35a4528a7e",
-        "7e3c821740065b98c4e10792f15827ef6183150ae174aff320bf9e35a4528a7e",
+        "794c96017663b30158e2ec3333a0a00f5c4051efcc1ec0163d135b2a05d20432",
+        "509397d06d4ad3592320187919f7b571bc30e35947116c22047cb107afd5f5ef",
+        "509397d06d4ad3592320187919f7b571bc30e35947116c22047cb107afd5f5ef",
     )),
     ((U, 2, 3, 1, 3), (
-        "00d8b483c275b662fa108769726bc54ab9048bee61b9f7013ce9a29c0d487abf",
-        "a073db8f77fca7df187ea01662e76acb2abf8fe4ff01368283f965faff534e00",
-        "894281e34e26d8f3644735dd9c6ea7608956dc0eedc7b9f833adbdc74f19cd3d",
+        "662f7550eb8ddf35d3f78803b4fdbbf9571903a32d5bfc649e948696ec5916e8",
+        "2152c4f4c6080703a21810c996ffa6119fdd752dd843ee1e5f099c96a67692b0",
+        "2dac2f99e073ae0b0b61297218b7dbf2451dc0a267d0ef5a434cf789cc24a580",
     )),
     ((U, 3, 2, 3, 4), (
-        "77f3c815be2536ca3aee6056ab86e07282a494f3343dda13353203c3ecf9ea91",
-        "54960a2fef1d488620ab169d05c025f6468e24343420d5a9c421c5e34be1e3ec",
-        "54389f0b3004112c0b3f13dbff0cf9c8c4ef67b99c4ef99862a5704a3ed90a85",
+        "184b1e7515ebefeac874609f58fcdb024724a61861857e32b3acbc52018362b3",
+        "9a4c0c3fbc56f6db6317e9f4f70a4e5677f71698a89bfe85e066f4f2f1cb21a4",
+        "a1c2265185e3765047ea604ba1f637fa368acdc8008a16137ae6a69cb5275d6d",
     )),
     ((U, 3, 3, 1, 5), (
-        "320d7436e83adb4e6a9bd2d8e3e255cadc536949f77e44f9822b9c5c08c8b2fe",
-        "586a5f74e240be62615ffbed4c52c0672978ac17e644d82ec326b2e2784a6b86",
-        "c97dbc6668111b93ecac8549339e70a08f98553e2a4169190820787417b3525b",
+        "a6aaf30832c78431c4a8b2f1f931b67efa3366e7c413f4fe39d377ccfd792fb1",
+        "c0bb9e3d7153b613080adc2c60fa7b5f1ab45ff38eb21668e4254469dfecf91e",
+        "11778a0b38cb05383fe5cd6c61df928edd37a961f93e39edc8fdaae1a56965a0",
     )),
     ((U, 4, 4, 1, 6), (
-        "aa9f9b72cd46539d6d9ae24bc9685413e0f6fb25dd4e24c857db34d1d047c47e",
-        "403cf262c8f04516434c1622ac3a815d41491c87fdbf97900d3b9385d4b1ee0e",
-        "2b70e2358e3c5e5c863f24c3ae6588898f92d18090cda3cbaf3ad319d4ba80a1",
+        "479f46e164c091309b98654474ffc3329739b955f0d3d21f99377ccbeba6916b",
+        "fdbddd768c66a8e3539d85538847ae070a5ac0acaa572369a39fac57897ddd77",
+        "1281a6b9f870611023f859c1aa836bc051c81537f7040ad2db1e6eee6b1b3c4c",
     )),
     ((U, 4, 5, 3, 7), (
-        "ce050c560109749f8301841c26d2b441d029ddd24404ed4320f7adf501349705",
-        "7276c652b834917f41a84620ae6e1db6c2cc31b82f087307aa522fb2a7fa7bcb",
-        "2945679605a36df88002afa0088622671fd8097bc82a64166a20f843bd2a8b6f",
+        "35367ae5e3df62cc78d706cbc430dda6c9610da723463a22f783778380d3ce60",
+        "ab617f0488efa879d36581dc9f0ec8831a6e29ae0625f4fac1198a19506d5a90",
+        "55d95c49d93e497127af29444afec2a0dbb606ab223e52359d8041b696bfc1dd",
     )),
     ((U, 5, 4, 1, 8), (
-        "ac4726115ceb1dcd516bce7812d4ede248a64307e750584df8fa0eb492a3394e",
-        "a217ed3c94488c66eb9389706e445ecf11589afa45fea55227bdbd430b288701",
-        "53c0a2ab08cb78a252b77fecb77c9830b4c7c094cb071d931589b01d0efc81e3",
+        "1c8e093d2ca1d5103cb67659a4b00ecfdc7ad80ab9a9a7c20a8d9730346872d9",
+        "0d2c16f370f7345588cf81ee040e16e6f4b9bd3d15466cc5164c5c8d1d83ec78",
+        "0f3482e1821f799331bf76bc20d72e2c223ab4c0b02ab86fbeaeb471da81ede2",
     )),
     ((U, 5, 5, 1, 9), (
-        "89379263e0f18925f7efa98870c763162ae092c4315fce379fb11f9783e8e4ab",
-        "5c1912d1a994ea20dde96d7bfd681ef0d07d80c90a1ca86f95f475083fdbbc2a",
-        "e2aca5301224e413a9470ab6221c8cc48751bf42419e07329d5f0767fc744c85",
+        "e73474fea8f8184c0479783202c5525b361c82a64b222bb810182f83d63d2a61",
+        "5faa45e81cae9b9daf9e2177a220335be56990274c86c82fba10b4c3ca9a24c2",
+        "e9ab449bd31a07e4deff155259f6a01971b16ec363b1081069d0dd784a1605a1",
     )),
     ((U, 5, 5, 3, 10), (
-        "ab1c1ab33ad5a04705f2eb6b689fd916f275bf83bc99ff1d032ce05958d9415a",
-        "b4403beb7000fb7571fb9216f05017eb404313064ab84a4f67db0b8aa0649b93",
-        "4d72822f434faf1ef05c5b9049504d789c4b5106b8a5ec245e4aab67753756dc",
+        "372e2c3b60197a39f5161794331654a8c24b2c8604734223e24913a529de484a",
+        "b2354154046ed336c374ec35a0d26fc7d5bfad0870ade3d0de2b2f071003b9df",
+        "349219fddefa4ede011582468879fce3364ec76408e9dfa858076ac1f54fbc7c",
     )),
     ((U, 6, 6, 1, 11), (
-        "f91ca444dde2bd1681db97599e69d7fa1c81d803381792e28c3812a763c9f6c4",
-        "2426ace1a33e443f9485045329d7809450cbbc21c7984353f0f887f4199225c3",
-        "74881a43b232babf6789f9545299f724de30988bf2e8a69b0800b6c9e6d59695",
+        "2ab7afd223abdf91e9f174717c4939d282eb57417597d9947065ee877c4bf13b",
+        "487c8325c8795cd2b57a581c940321595de5925ec4f69488041ee29126bed3a5",
+        "aa0b7b0074bf628f5f13282f2cf965750d17b8c2721b835c8c6cd7121616e399",
     )),
     ((U, 6, 6, 3, 12), (
-        "587bfc8088c1334b9e4d1c43e1a482155dfe351a719f143eebe10fcbf22b6950",
-        "f78ba55c9206f3504d8daf7f34a7e71d02bdfc9fac3b906cefd556dc37b85204",
-        "0463828eb4eb9733d208008a086a41fe2b84c0478bce2330d7f6127b730d505e",
+        "6361c4ec49ddb9756a7410be89a5b9777622d237d6630fae7edd7027890f6a70",
+        "b4fd6d7cf26f5137bac13daf6e6fa9a48b26db38e91ea82c40c71b27bf4e1e55",
+        "3faa9097dda6f2de8153d0c177e128362751e1d5103fd8b3b0e3a29590213f26",
     )),
     ((U, 6, 5, 2, 13), (
-        "76959012df03866742a4dc87faa8ddeabacae27048170b8c9002140dd5816f32",
-        "190b784a3bc9d9a4d0c75256272f3a3fa93ce60ac353c64831ce537226fcd159",
-        "49235c285ead8f00d4726084c65e59a6e67ade54d5440234cec0633bf378f582",
+        "9efec481f6b261dba2388de41f8e2950f54360f293ecd1e1e047a76be28f2cfe",
+        "8fa9869d1538e03e763f6a98e17c92de5d12f253f28ca6a6f17a47ff68a789c2",
+        "ba48abc1a18b6eb57badbcf5522f1d70d7fcdadb92fda91501bac57bcc7d9cf9",
     )),
     ((T, 5, 5, 1, 14), (
-        "04be57efcbf45f1b652e2f979230e88d595d499dba01df8faa7c91e3f646466f",
-        "df88e52bb042e7e6badc4130db2fd506a1d062a15f2fd9736d31d593f6314345",
-        "50d61c022bb085e6d152c3d15f8cd0c67cd143f0bcbe7ebcc77467cd44a090c0",
+        "ce796ea37c4d6019806b4e69d501e7a8698cbacc9f89df2b68137817716ca429",
+        "7912f4e917790b7e997d41ab8cc040fd76fedf0fd905b5f45133d0722902e4ca",
+        "caee0653370c920d4451f941041f365758851a5af9806d8f95bbb50e496ddb22",
     )),
     ((T, 6, 6, 1, 15), (
-        "ea12b2f6c4a883d786216867991528182eceb2cc2b3cf7f8f2ce3e4de372d9fe",
-        "83318b3b72c49e7d5d77b0b6245020b2641b8e110692c11fb1b44de6ea6a077c",
-        "1a50d98ecf071009fd698a65b1ae3ddb2ecd088c729810b947ea9b7c5fd79623",
+        "ed30b585805a4b4375583ff4c8c934edf2b19285a4a686aaa49ce199a8852252",
+        "fdc6cab4f1f28d2808301d448fea96b85eaa375d9281248b45bcfe4deea423d4",
+        "5ab1d0086d91f5983b41c59fd9f06ccda221ea6880cf7da4cc049db66b3e2efc",
     )),
     ((C, 4, 4, 1, 16), (
-        "802738148b5ea595b0dd9ab03fd59ed422c49439836085b12f3f1e55f0756c5a",
-        "ca571e9add50c22dbf19fbf9b2c5d1d24dfdce916822f8ea920ecdb9d5d296c6",
-        "9fa397a01f7d7262be1a863eb4c700cc918566e8550187a5d247ed4baa2d191d",
+        "6711c610e0f4f1be8915941146c6fbe9e1cbcb0e9bda8b9fbcd34f203b84b629",
+        "f97847742ff1acfc20ef11cbfcf2f14fe7df536db3559adec58740d380a73421",
+        "81a0a38fe3975e83464fd5f6bd755a22b26a563e59fd51afb40bd0fc5c7a9aee",
     )),
     ((C, 6, 6, 2, 17), (
-        "7767327294ac05adb7b04f78e349f37626bfa7d592ebe311e4ee63ff4642805b",
-        "506a7c72605415ee839ba79e0abd05734594779b9727269f8c39d4d1ec5cbb3f",
-        "506a7c72605415ee839ba79e0abd05734594779b9727269f8c39d4d1ec5cbb3f",
+        "36c84b4499e145857fa16c58da536865db7a6cc432935043e220b264d929fa51",
+        "aea577e9869943434ddb87d37f06fee7d53055e4b886f5e13203f1caad118add",
+        "aea577e9869943434ddb87d37f06fee7d53055e4b886f5e13203f1caad118add",
     )),
     ((D, 4, 5, 20, 18), (
-        "d23b71f9c9e1abb016c2af9c9abc4414e307a3bdbd2abb5e632035d3b3a015db",
-        "e223697152c2050f2dda8612c2192d41d30f86d84eba9abc0de5f3822935d26b",
-        "e223697152c2050f2dda8612c2192d41d30f86d84eba9abc0de5f3822935d26b",
+        "2741a75b0c2ad85aa89966a6a43d178897832bded5df24f04fbc8138630d12f7",
+        "fecb9a09e54cf0adc716741284d650e0b139de211bd73a19d5e6cbd74820d4fb",
+        "fecb9a09e54cf0adc716741284d650e0b139de211bd73a19d5e6cbd74820d4fb",
     )),
     ((D, 6, 6, 40, 19), (
-        "545bba857a380b0a3329a2c6b81aab875173c24faae01b7af5cb3a67aa1ee437",
-        "33df79b93a8d59d34da2d606673c37cdad724e1c65dc201e0a07b321eeb7802e",
-        "33df79b93a8d59d34da2d606673c37cdad724e1c65dc201e0a07b321eeb7802e",
+        "57aa86adc2938e2af6d35911c6eebaf44cd0010d23be930d872adf30f13a78a7",
+        "96d86cf6bd9a0f41f16a6e1d5cd0a40b571478d6a3c2de70bb46c5c97ab29606",
+        "96d86cf6bd9a0f41f16a6e1d5cd0a40b571478d6a3c2de70bb46c5c97ab29606",
     )),
     (None, (
-        "1a8ea40865c77d549b0c022f6305e040ead2a02fe7bd516c9c61ffb704dfb640",
-        "86c63623343a6ddd72f93bd4322d99ba0ed525e21f9c2c50b10ff32a2b007153",
-        "8493bda13b7ad11634d1b2c2f3193878668379ed3078f68c24dafada145194df",
+        "70050b99088c7c8b17e653068534e7de3c41c9327b8dbb1d1162d68960c79cf3",
+        "ad3507821edd7d431518cf51a395995ee937e230b9e60db62dc80efcf5563174",
+        "96c1644730a349ddb6c55d91b008c0c16982e995141e6a336da1577ec018a03c",
     )),
 ]
 

@@ -186,12 +186,12 @@ def test_find_saddle_matches_oracle_order(game):
 
 
 @pytest.mark.parametrize("mode", [WEAK, STRICT, WRS], ids=["weak", "strict", "weak-strict"])
-def test_find_saddle_same_with_evicting_memo(mode, monkeypatch):
+def test_find_saddle_same_with_full_memo(mode, monkeypatch):
     # Element budgets of 1 and of 75 cap chunks at 1 and at 3 opponent masks
     # on 5-action sides (1 and 8 on 3-action sides), splitting each level into
-    # several chunks, and with each side keeping one 5-action chunk they are
-    # evicted and rebuilt on nearly every walk of a level: the products must
-    # not move.
+    # several chunks, and with each side's memo full after one 5-action chunk
+    # nearly every walk rebuilds the chunks past what it keeps: the products
+    # must not move.
     shapes = [(5, 5, 303, t) for t in range(50)]
     shapes += [(rows, cols, 304, t) for t in range(10) for rows, cols in ((3, 9), (9, 3))]
     games = [
@@ -212,45 +212,53 @@ def test_find_saddle_same_with_evicting_memo(mode, monkeypatch):
             assert [find_saddle(g, mode) for g in games] == expected
             assert all(len(a[3]) == 1 or len(a[3]) * a[2] ** 2 <= cells for a in builds)
             counts.append(len(builds))
-        assert counts[1] > counts[0]  # the one-chunk cache did evict
+        assert counts[1] > counts[0]  # the full memo did rebuild
 
 
-def test_side_rule_chunks_with_any_chunks_dropped():
-    # A walk of a level gives its masks in `combinations` order, in chunks of
-    # 1, 2, 4, ... masks, whichever of them the cache still holds; the scan's
-    # LRU order only ever drops a level's first chunks, so drop others too.
+def test_side_rule_walks_in_order_and_keeps_a_prefix(monkeypatch):
+    # Under memos of 0, 1, cap - 1, cap, cap + 1 and 3 cap + 2 masks, every
+    # walk of a level gives its masks in `combinations` order, in chunks of
+    # `cap` masks but the level's last, and yields the chunks the level
+    # keeps first: those are always its first chunks, and the side keeps no
+    # more masks than the memo allows.
+    monkeypatch.setattr(solver, "_CHUNK_CELLS", 36)  # 4 masks a chunk on a 3-action side
     g = generate(GeneratorConfig(GeneratorKind.UNIFORM_INT, 3, 9, 1, 5))
     ge, gt, _, _ = kernels.dominance_mask_tables(g, object)
-    rule = solver._SideRule(ge, gt, 3, 9, WEAK)
-    rng = random.Random(7)
-    for level in (4, 3, 4, 5, 4):
-        expected = [sum(c) for c in itertools.combinations([1 << i for i in range(9)], level)]
-        for key in [key for key in rule.cache if rng.random() < 0.5]:
-            rule.kept -= len(rule.cache.pop(key)[0])
-        walked = [chunk[0] for chunk in rule.chunks(level)]
-        assert [len(masks) for masks in walked][:4] == [1, 2, 4, 8]
-        assert [mask for masks in walked for mask in masks] == expected
+    cap = 4
+    for memo in (0, 1, cap - 1, cap, cap + 1, 3 * cap + 2):
+        monkeypatch.setattr(solver, "_MEMO_MASKS", memo)
+        rule = solver._SideRule(ge, gt, 3, 9, WEAK)
+        assert rule.cap == cap
+        for level in (8, 4, 3, 4, 9, 5, 4, 8, 1, 9):
+            expected = [sum(c) for c in itertools.combinations([1 << i for i in range(9)], level)]
+            walked = list(rule.chunks(level))
+            assert [mask for masks, _ in walked for mask in masks] == expected
+            assert all(len(masks) == cap for masks, _ in walked[:-1])
+            kept = rule.kept[level]
+            assert all(a is b for a, b in zip(walked, kept)) and len(kept) <= len(walked)
+        held = sum(len(masks) for level in rule.kept for masks, _ in level)
+        assert held == memo - rule.room <= memo
 
 
 def test_find_saddle_one_kernel_call_per_chunk(monkeypatch):
     # A 7x7 game whose smallest weak saddle is the full product, so the scan
-    # walks every level of both sides. With chunks doubling from 1 mask, the
-    # levels of 7, 21, 35, 35, 21, 7 and 1 masks take 3, 5, 6, 6, 5, 3 and 1
-    # chunks, 29 a side: each chunk's sets are built at most once, 58 kernel
-    # calls, where one call per opponent mask made about 250.
+    # walks every level of both sides. A chunk holds up to 167 masks on a
+    # 7-action side, so each of the 7 levels of 7, 21, 35, 35, 21, 7 and 1
+    # masks is one chunk, and each chunk's sets are built once: 14 kernel
+    # calls, one per level a side.
     g = generate(GeneratorConfig(GeneratorKind.UNIFORM_INT, 7, 7, 3, 3))
     builds = []
     build = kernels.non_dominators
     monkeypatch.setattr(kernels, "non_dominators", lambda *a: builds.append(a) or build(*a))
     assert find_saddle(g, WEAK) == g.full_product()
-    assert len(builds) <= 58
+    assert len(builds) == 14
 
 
 @pytest.mark.parametrize("mode", [WEAK, STRICT, WRS], ids=["weak", "strict", "weak-strict"])
 def test_find_saddle_kernel_calls_within_element_budget(mode, monkeypatch):
     # On a 12x12 game whose only saddle is a 2x2 block, the scan walks the
-    # 220 column masks of 3 actions for each single row, so the row side's
-    # chunks grow to the cap of `_CHUNK_CELLS` // 144 masks: no kernel call
+    # 220 column masks of 3 actions for each single row, in chunks of the
+    # cap of `_CHUNK_CELLS` // 144 masks on the row side: no kernel call
     # may make more than that many elements, at the default budget or at a
     # budget of 3 masks, and the block must come back either way.
     g = new_game(12, 12, [planted_block_entry(r, c) for r in range(12) for c in range(12)])
