@@ -41,7 +41,6 @@ from .solver import (
     GameAnalysis,
     PermutationWitness,
     SaddleSet,
-    all_gsps,
     enumerate_saddles,
     find_saddle,
     is_gsp,
@@ -90,7 +89,6 @@ __all__ = [
     "InterchangeabilityVerdict",
     "TrialConfig",
     "ZeroSumGame",
-    "all_gsps",
     "check_confrontation_uniqueness",
     "check_distinct_uniqueness",
     "check_min_size",

@@ -37,8 +37,9 @@ class PropertyViolationError(RuntimeError):
 # Each saddle grid holds one bit per product, 2^(rows+cols) bits, so this
 # budget (128 MB per grid) bounds memory by the grid size alone: a grid build
 # holds at most three grid-sized buffers at once, and a `GameAnalysis` keeps
-# two per mode it has built. The grid engine (`kernels`) keeps masks and
-# product indices in int32, which holds any index below this budget.
+# one GSP grid per mode it has built, plus that mode's saddles. The grid
+# engine (`kernels`) keeps masks and product indices in int32, which holds
+# any index below this budget.
 MAX_GRID_BITS = 1 << 30
 
 

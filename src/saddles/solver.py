@@ -105,12 +105,12 @@ class GameAnalysis:
     of each dominance mode on the first request for that mode, and that
     mode's saddles from the minimality filter only when a referee asks for
     them (`minimal_saddles`: weak-strict enumeration, `check` and `verify`).
-    `enumerate_saddles`, `all_gsps`, `minimal_saddles`, `strict_saddle` and
-    the `verify` checks take a game or its analysis, so the checks of one
-    campaign trial share it; `find_saddle` and `is_gsp` take only a game,
-    and so does `dominance.iterated_elimination`, which needs no tables.
-    Nothing is cached beyond the analysis itself, which lives as long as
-    its caller keeps it.
+    `enumerate_saddles`, `minimal_saddles`, `strict_saddle` and the `verify`
+    checks take a game or its analysis, so the checks of one campaign trial
+    share it; `find_saddle` and `is_gsp` take only a game, and so does
+    `dominance.iterated_elimination`, which needs no tables. Nothing is
+    cached beyond the analysis itself, which lives as long as its caller
+    keeps it.
     """
 
     game: ZeroSumGame
@@ -189,17 +189,6 @@ def minimal_saddles(
     return analyze(subject).minimal_saddles(mode)
 
 
-def all_gsps(
-    subject: ZeroSumGame | GameAnalysis, mode: DominanceMode
-) -> tuple[ActionProduct, ...]:
-    """Every GSP (not just the minimal ones), lexicographically sorted."""
-    analysis = analyze(subject)
-    gsp = analysis.gsp_grid(mode)
-    from . import kernels
-
-    return _products(kernels.grid_cells(gsp, analysis.game.cols), analysis.game)
-
-
 def strict_saddle(subject: ZeroSumGame | GameAnalysis) -> ActionProduct:
     """The unique minimal strict GSP, the one strict GSP of fewest actions.
 
@@ -244,8 +233,9 @@ class _SideRule:
     needs them. Each level keeps the chunks walked, in order, while they fit
     in the side's `_MEMO_MASKS` (2^16) opponent masks; it stops at the
     first chunk that does not fit, so what a level keeps is a prefix of it,
-    which a later walk yields before it resumes `combinations` past it. A side so holds at most 2^16 opponent masks
-    and one chunk more, each with `count` masks of `count` bits.
+    which a later walk yields before it resumes `combinations` past it.
+    A side so holds at most 2^16 opponent masks and one chunk more, each
+    with `count` masks of `count` bits.
     """
 
     def __init__(self, ge, gt, count: int, opp_count: int, mode: DominanceMode):

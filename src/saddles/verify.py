@@ -7,12 +7,13 @@ checks cover strict-saddle uniqueness, uniqueness on confrontation games,
 the distinct-payoff case, the subgame restriction lemma (inside a weak GSP,
 a product is a GSP of the game iff it is one of that subgame), and
 value/equilibrium consistency of saddles, and the minimum-size rule that
-`enumerate_saddles` relies on. Every check reads the saddles from the
-minimality filter (`solver.minimal_saddles`); only `check_min_size` also
-reads the fast path of `enumerate_saddles`, to compare the two.
-`run_trials` drives them over seeded random campaigns and reports
-replayable witnesses for any failure: these properties admit no exceptions,
-so a single failed trial is a falsification, not noise.
+`enumerate_saddles` relies on. Saddles are read from the minimality filter
+(`solver.minimal_saddles`), and only `check_min_size` also reads the fast
+path of `enumerate_saddles`, to compare the two; the restriction check
+draws its outer product from the weak GSP grid and decides both sides
+with `is_gsp`. `run_trials` drives them over seeded random campaigns and
+reports replayable witnesses for any failure: these properties admit no
+exceptions, so a single failed trial is a falsification, not noise.
 """
 
 from __future__ import annotations
@@ -43,7 +44,6 @@ from .generators import (
 from .solver import (
     GameAnalysis,
     SaddleSet,
-    all_gsps,
     analyze,
     enumerate_saddles,
     is_gsp,
@@ -360,17 +360,27 @@ class CampaignReport:
 def _sample_restriction_products(
     subject: ZeroSumGame | GameAnalysis, campaign_seed: int, trial: int
 ):
-    """Deterministically pick a weak GSP and a nested product for one trial."""
+    """Deterministically pick a weak GSP, cell k of the weak GSP grid in mask
+    order for k drawn from the cell count, and a product inside it."""
+    from . import kernels
+
+    analysis = analyze(subject)
+    game = analysis.game
     rng = seeded_rng(campaign_seed, spawn_key=(trial, 1))
-    gsps = all_gsps(subject, DominanceMode.WEAK)
-    outer = gsps[int(rng.integers(len(gsps)))]
+    cells = kernels.grid_cells(analysis.gsp_grid(DominanceMode.WEAK), game.cols)
+    k = int(rng.integers(len(cells[0])))  # cells: (row masks, column masks)
+    outer = _pick(range(game.rows), range(game.cols), int(cells[0][k]), int(cells[1][k]))
     row_mask = int(rng.integers(1, 1 << len(outer.row_set)))
     col_mask = int(rng.integers(1, 1 << len(outer.col_set)))
-    inner = ActionProduct(
-        (v for i, v in enumerate(outer.row_set) if row_mask >> i & 1),
-        (v for i, v in enumerate(outer.col_set) if col_mask >> i & 1),
+    return outer, _pick(outer.row_set, outer.col_set, row_mask, col_mask)
+
+
+def _pick(rows, cols, row_mask: int, col_mask: int) -> ActionProduct:
+    """The product of the rows and columns at the positions the masks set."""
+    return ActionProduct(
+        (v for i, v in enumerate(rows) if row_mask >> i & 1),
+        (v for i, v in enumerate(cols) if col_mask >> i & 1),
     )
-    return outer, inner
 
 
 def _run_one_check(

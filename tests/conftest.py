@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import strategies as st
 
-from saddles import new_game
+from saddles import ActionProduct, kernels, new_game
 
 # Golden 4x5 game: one weak saddle {r1,r2} x {c1,c2,c3}, value 4/3.
 A1_ENTRIES = [
@@ -98,6 +98,20 @@ def run_probe(code, *args):
         env=checkout_env(), capture_output=True, text=True, check=True,
     )
     return result.stdout
+
+
+def grid_gsps(analysis, mode):
+    """Every GSP of the analysis's game under `mode`, as products, read off
+    its GSP grid by `kernels.grid_cells`, in mask order."""
+    game = analysis.game
+    row_masks, col_masks = kernels.grid_cells(analysis.gsp_grid(mode), game.cols)
+    return [
+        ActionProduct(
+            (i for i in range(game.rows) if rm >> i & 1),
+            (j for j in range(game.cols) if cm >> j & 1),
+        )
+        for rm, cm in zip(row_masks.tolist(), col_masks.tolist())
+    ]
 
 
 def game_from(rows):

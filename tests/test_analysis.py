@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import grid_gsps
 from oracles import brute_is_gsp, brute_saddles
 from saddles import (
     ActionProduct,
@@ -22,7 +23,6 @@ from saddles import (
     GeneratorConfig,
     GeneratorKind,
     TrialConfig,
-    all_gsps,
     check_confrontation_uniqueness,
     check_distinct_uniqueness,
     check_interchangeability,
@@ -89,8 +89,7 @@ def test_analysis_matches_bare_game_and_oracles(game, pick):
     for mode, name in ORACLE_NAMES.items():
         saddles = _same(lambda g: enumerate_saddles(g, mode), analysis, game)
         assert _pairs(saddles) == brute_saddles(entries, name)
-        gsps = _same(lambda g: all_gsps(g, mode), analysis, game)
-        assert _pairs(gsps) == sorted(
+        assert sorted(_pairs(grid_gsps(analysis, mode))) == sorted(
             (rows, cols)
             for rows in _subsets(game.rows)
             for cols in _subsets(game.cols)
@@ -104,7 +103,7 @@ def test_analysis_matches_bare_game_and_oracles(game, pick):
     _same(check_distinct_uniqueness, analysis, game)
     _same(check_confrontation_uniqueness, analysis, game)
     assert _same(check_nash_consistency, analysis, game).ok
-    weak_gsps = all_gsps(analysis, DominanceMode.WEAK)
+    weak_gsps = grid_gsps(analysis, DominanceMode.WEAK)
     outer = weak_gsps[pick % len(weak_gsps)]
     inner = ActionProduct(outer.row_set[:1], outer.col_set[-1:])
     assert _same(lambda g: check_subgame_restriction(g, outer, inner), analysis, game)
@@ -169,7 +168,7 @@ def test_one_trial_builds_tables_once_and_each_grid_once(monkeypatch):
         # check; the strict ones for uniqueness.
         ("grid_cells", "minimal", DominanceMode.WEAK): 1,
         ("grid_cells", "minimal", DominanceMode.STRICT): 1,
-        # Every weak GSP, for the restriction check's sample.
+        # The weak GSP grid's cells, for the restriction check's sample.
         ("grid_cells", "gsp", DominanceMode.WEAK): 1,
     }
 

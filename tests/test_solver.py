@@ -12,10 +12,10 @@ from saddles import (
     ActionProduct,
     CapacityError,
     DominanceMode,
+    GameAnalysis,
     GeneratorConfig,
     GeneratorKind,
     PropertyViolationError,
-    all_gsps,
     enumerate_saddles,
     find_saddle,
     generate,
@@ -29,7 +29,7 @@ from saddles import (
 )
 from saddles import kernels, solver
 
-from conftest import cloned_games, planted_block_entry, planted_saddle_entry
+from conftest import cloned_games, grid_gsps, planted_block_entry, planted_saddle_entry
 from oracles import brute_saddles
 
 WEAK = DominanceMode.WEAK
@@ -90,7 +90,6 @@ def test_capacity_guard():
     over = generate(GeneratorConfig(GeneratorKind.UNIFORM_INT, 16, 15, 3, 0))
     for call in (
         lambda: enumerate_saddles(over, WEAK),
-        lambda: all_gsps(over, WEAK),
         lambda: strict_saddle(over),
     ):
         with pytest.raises(CapacityError, match="2\\^31 bits"):
@@ -127,7 +126,7 @@ def test_find_saddle_is_smallest_gsp():
             GeneratorConfig(GeneratorKind.UNIFORM_INT, 4, 5, bound, trial_seed(202, trial))
         )
         for mode in (WEAK, STRICT, WRS):
-            assert find_saddle(g, mode) == min(all_gsps(g, mode), key=key)
+            assert find_saddle(g, mode) == min(grid_gsps(GameAnalysis(g), mode), key=key)
 
 
 def test_find_saddle_beyond_guard():
@@ -508,9 +507,9 @@ def test_saddles_are_minimal():
             GeneratorConfig(GeneratorKind.UNIFORM_INT, 4, 4, 2, trial_seed(606, trial))
         )
         for mode in (WEAK, STRICT):
-            found = enumerate_saddles(g, mode)
-            for saddle in found:
-                for other in all_gsps(g, mode):
+            gsps = grid_gsps(GameAnalysis(g), mode)
+            for saddle in enumerate_saddles(g, mode):
+                for other in gsps:
                     assert not other.is_proper_subproduct_of(saddle)
 
 

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 
 from conftest import cloned_games
+from oracles import brute_is_gsp
 from saddles import (
     ActionProduct,
     CapacityError,
@@ -181,6 +182,31 @@ def test_subgame_restriction_random_triples():
 
         outer, inner = _sample_restriction_products(g, 1234, trial)
         assert check_subgame_restriction(g, outer, inner)
+
+
+def test_restriction_sampler_reaches_every_weak_gsp():
+    # `0 1 / 0 0 / 0 0`: 11 of its 21 products are weak GSPs. Over 200
+    # trials the sampler draws only weak GSPs, an inner product inside each,
+    # and every weak GSP at least once.
+    g = new_game(3, 2, [0, 1, 0, 0, 0, 0])
+    weak_gsps = {
+        (rows, cols)
+        for rows in _subsets(g.rows)
+        for cols in _subsets(g.cols)
+        if brute_is_gsp(g.entries, rows, cols, "weak")
+    }
+    assert len(weak_gsps) == 11
+    drawn = set()
+    for trial in range(200):
+        outer, inner = verify._sample_restriction_products(g, 77, trial)
+        assert brute_is_gsp(g.entries, outer.row_set, outer.col_set, "weak")
+        assert outer.contains(inner)
+        drawn.add((outer.row_set, outer.col_set))
+    assert drawn == weak_gsps
+
+
+def _subsets(n):
+    return [tuple(i for i in range(n) if mask >> i & 1) for mask in range(1, 1 << n)]
 
 
 def _campaign(trials=25, kind=GeneratorKind.UNIFORM_INT, rows=4, cols=4, checks=None):
