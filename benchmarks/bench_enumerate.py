@@ -129,7 +129,6 @@ from saddles import (
     equilibrium,
     find_saddle,
     game_value,
-    format_game,
     generate,
     kernels,
     new_game,
@@ -398,7 +397,7 @@ def _front_end_game(payoffs, n, seed):
 
 
 def front_end_times(payoffs, n, count, seed, repeats):
-    texts = [format_game(_front_end_game(payoffs, n, seed + k)) for k in range(count)]
+    texts = [_front_end_game(payoffs, n, seed + k).to_text() for k in range(count)]
     games = [parse_game(text) for text in texts]
     # One unranked copy of each game per call, warm-up included, made before
     # the clock starts.
@@ -479,7 +478,7 @@ def startup_times(seed, repeats):
     }
     with tempfile.TemporaryDirectory() as scratch:
         path = Path(scratch) / "game.txt"
-        path.write_text(format_game(game))
+        path.write_text(game.to_text())
         for command in STARTUP_COMMANDS:
             argv = ["-m", "saddles.cli", command, str(path)]
             doc["commands"].append(

@@ -28,13 +28,12 @@ from .equilibrium import (
 from .errors import CapacityError, GameInputError, PropertyViolationError
 from .game import (
     ActionProduct,
-    Rational,
     ZeroSumGame,
     format_rational,
     new_game,
     parse_rational,
 )
-from .gamefile import GameParseError, format_game, parse_game
+from .gamefile import GameParseError, parse_game
 from .generators import GeneratorConfig, GeneratorKind, generate, trial_seed
 from .report import ResultDocument, emit_result
 from .solver import (
@@ -83,7 +82,6 @@ __all__ = [
     "PermutationWitness",
     "PropertyViolationError",
     "PureSaddlePoint",
-    "Rational",
     "ResultDocument",
     "SaddleSet",
     "InterchangeabilityVerdict",
@@ -101,7 +99,6 @@ __all__ = [
     "emit_result",
     "enumerate_saddles",
     "find_saddle",
-    "format_game",
     "format_rational",
     "game_value",
     "generate",

@@ -78,7 +78,7 @@ def _check(game, mode):
     verdicts = {
         "interchangeability": verdict.interchange_ok,
         "equivalence": verdict.equivalence_ok,
-        "violations": [v.describe() for v in verdict.violations],
+        "violations": list(verdict.violations),
         "witnesses": [
             {
                 "pair": [

@@ -16,8 +16,6 @@ from typing import Iterable, Sequence
 
 from .errors import CapacityError, GameInputError
 
-Rational = Fraction
-
 
 def parse_rational(token: str) -> Fraction:
     """Parse an integer, exact decimal, or "p/q" token into a Fraction.
@@ -222,7 +220,8 @@ class ZeroSumGame:
         return tuple(tuple(rank[v.as_integer_ratio()] for v in r) for r in self.entries)
 
     def to_text(self) -> str:
-        """Canonical plain-text form: header line, then one line per row."""
+        """Canonical plain-text form: header line, then one line per row;
+        `gamefile.parse_game` reads it back entry-exactly."""
         lines = [f"{self.rows} {self.cols}"]
         for row in self.entries:
             lines.append(" ".join(format_rational(v) for v in row))

@@ -88,8 +88,3 @@ def parse_game(text: str) -> ZeroSumGame:
     # are, without `new_game`'s per-entry conversion.
     values = [parsed[token] for token in body]
     return ZeroSumGame(tuple(tuple(values[r : r + cols]) for r in range(0, expected, cols)))
-
-
-def format_game(game: ZeroSumGame) -> str:
-    """Canonical text form; `parse_game` reproduces the game entry-exactly."""
-    return game.to_text()

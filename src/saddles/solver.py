@@ -43,7 +43,6 @@ from .game import ActionProduct, ZeroSumGame
 class SaddleSet:
     """All inclusion-minimal GSPs of a game under one dominance mode."""
 
-    mode: DominanceMode
     saddles: tuple[ActionProduct, ...]
 
     def __len__(self) -> int:
@@ -80,17 +79,21 @@ def is_gsp(game: ZeroSumGame, product: ActionProduct, mode: DominanceMode) -> bo
     )
 
 
-def _mask_to_indices(mask: int, count: int) -> tuple[int, ...]:
-    return tuple(i for i in range(count) if mask >> i & 1)
+def masked_product(rows, cols, row_mask: int, col_mask: int) -> ActionProduct:
+    """The product of the members of `rows` and of `cols` at the positions
+    the masks set."""
+    return ActionProduct(
+        (v for i, v in enumerate(rows) if row_mask >> i & 1),
+        (v for i, v in enumerate(cols) if col_mask >> i & 1),
+    )
 
 
 def _products(cells, game: ZeroSumGame) -> tuple[ActionProduct, ...]:
     # Sorted products from a kernel's (row masks, column masks).
     row_masks, col_masks = cells
+    rows, cols = range(game.rows), range(game.cols)
     products = [
-        ActionProduct(
-            _mask_to_indices(rm, game.rows), _mask_to_indices(cm, game.cols)
-        )
+        masked_product(rows, cols, rm, cm)
         for rm, cm in zip(row_masks.tolist(), col_masks.tolist())
     ]
     return tuple(sorted(products))
@@ -149,7 +152,7 @@ class GameAnalysis:
 
             minimal = kernels.minimal_grid(gsp, self.game.rows + self.game.cols)
             cells = kernels.grid_cells(minimal, self.game.cols)
-            found = SaddleSet(mode=mode, saddles=_products(cells, self.game))
+            found = SaddleSet(_products(cells, self.game))
             self._saddles[mode] = found
         return found
 
@@ -178,7 +181,7 @@ def enumerate_saddles(
     from . import kernels
 
     cells = kernels.min_size_cells(gsp, analysis.game.cols)
-    return SaddleSet(mode=mode, saddles=_products(cells, analysis.game))
+    return SaddleSet(_products(cells, analysis.game))
 
 
 def minimal_saddles(
@@ -318,10 +321,7 @@ def _first_gsp(n: int, m: int, rows_rule: _SideRule, cols_rule: _SideRule) -> Ac
                             if all(map(col_mask.__and__, col_outs)) and all(
                                 map(row_mask.__and__, rows_rule.meet(col_chunk)[at])
                             ):
-                                return ActionProduct(
-                                    _mask_to_indices(row_mask, n),
-                                    _mask_to_indices(col_mask, m),
-                                )
+                                return masked_product(range(n), range(m), row_mask, col_mask)
     raise PropertyViolationError("find_saddle scanned every product and found no GSP")
 
 

@@ -11,9 +11,13 @@ value/equilibrium consistency of saddles, and the minimum-size rule that
 (`solver.minimal_saddles`), and only `check_min_size` also reads the fast
 path of `enumerate_saddles`, to compare the two; the restriction check
 draws its outer product from the weak GSP grid and decides both sides
-with `is_gsp`. `run_trials` drives them over seeded random campaigns and
-reports replayable witnesses for any failure: these properties admit no
-exceptions, so a single failed trial is a falsification, not noise.
+with `is_gsp`. Every `check_*` answers with a `CheckVerdict`: `.ok`, and
+`.violations`, one text per violation found (the interchangeability verdict
+also keeps the saddles and the pair witnesses that `check` prints).
+`run_trials` drives the checks over seeded random campaigns and reports
+replayable witnesses for any failure, a failure's detail being its
+verdict's violations joined by "; ": these properties admit no exceptions,
+so a single failed trial is a falsification, not noise.
 """
 
 from __future__ import annotations
@@ -47,6 +51,7 @@ from .solver import (
     analyze,
     enumerate_saddles,
     is_gsp,
+    masked_product,
     minimal_saddles,
     permutation_equivalent,
 )
@@ -67,38 +72,29 @@ class CheckKind(enum.Enum):
 
 
 @dataclass(frozen=True)
-class Violation:
-    claim: str
-    products: tuple[ActionProduct, ActionProduct]
+class CheckVerdict:
+    """What a check found: `ok`, and a text per violation when it is not.
 
-    def describe(self) -> str:
-        (r1, c1), (r2, c2) = (
-            (p.row_set, p.col_set) for p in self.products
-        )
-        return f"{self.claim}: {r1}x{c1} vs {r2}x{c2}"
+    A verdict has no truth value: `assert check(game)` would pass whatever
+    the check found, so it raises TypeError; read `.ok`.
+    """
+
+    ok: bool
+    violations: tuple[str, ...] = ()
+
+    def __bool__(self):
+        raise TypeError("a verdict has no truth value; read its .ok")
 
 
-@dataclass(frozen=True)
-class InterchangeabilityVerdict:
-    """A game's saddles under `mode` and whether every pair of them is
+@dataclass(frozen=True, kw_only=True)
+class InterchangeabilityVerdict(CheckVerdict):
+    """A game's saddles under one mode and whether every pair of them is
     interchangeable and equivalent; it names no game, its caller holds it."""
 
-    mode: DominanceMode
     saddles: SaddleSet
     interchange_ok: bool
     equivalence_ok: bool
     witnesses: tuple[tuple[ActionProduct, ActionProduct, object], ...]
-    violations: tuple[Violation, ...]
-
-    @property
-    def ok(self) -> bool:
-        return self.interchange_ok and self.equivalence_ok
-
-
-@dataclass(frozen=True)
-class CheckVerdict:
-    ok: bool
-    violations: tuple[str, ...] = ()
 
 
 def check_interchangeability(
@@ -128,44 +124,54 @@ def check_interchangeability(
     # The saddles as (rows, cols) keys: each pair's cross products R1 x C2
     # and R2 x C1 are looked up without building them.
     keys = {(s.row_set, s.col_set) for s in members}
-    violations: list[Violation] = []
+    violations = []
     witnesses = []
+    interchange_ok = equivalence_ok = True
     for i, (s1, sub1) in enumerate(subgames):
         for s2, sub2 in subgames[i + 1 :]:
             if (s1.row_set, s2.col_set) not in keys or (s2.row_set, s1.col_set) not in keys:
-                violations.append(Violation("interchangeability", (s1, s2)))
+                interchange_ok = False
+                violations.append(_pair_violation("interchangeability", s1, s2))
             witness = permutation_equivalent(sub1, sub2)
             if witness is None:
-                violations.append(Violation("equivalence", (s1, s2)))
+                equivalence_ok = False
+                violations.append(_pair_violation("equivalence", s1, s2))
             else:
                 witnesses.append((s1, s2, witness))
     return InterchangeabilityVerdict(
-        mode=mode,
-        saddles=saddles,
-        interchange_ok=not any(v.claim == "interchangeability" for v in violations),
-        equivalence_ok=not any(v.claim == "equivalence" for v in violations),
-        witnesses=tuple(witnesses),
+        ok=interchange_ok and equivalence_ok,
         violations=tuple(violations),
+        saddles=saddles,
+        interchange_ok=interchange_ok,
+        equivalence_ok=equivalence_ok,
+        witnesses=tuple(witnesses),
     )
 
 
-def check_strict_uniqueness(subject: ZeroSumGame | GameAnalysis) -> bool:
-    return len(minimal_saddles(subject, DominanceMode.STRICT)) == 1
+def _pair_violation(claim: str, s1: ActionProduct, s2: ActionProduct) -> str:
+    return f"{claim}: {s1.row_set}x{s1.col_set} vs {s2.row_set}x{s2.col_set}"
 
 
-def check_confrontation_uniqueness(subject: ZeroSumGame | GameAnalysis) -> bool:
+def check_strict_uniqueness(subject: ZeroSumGame | GameAnalysis) -> CheckVerdict:
+    ok = len(minimal_saddles(subject, DominanceMode.STRICT)) == 1
+    return CheckVerdict(ok, () if ok else ("strict saddle not unique",))
+
+
+def check_confrontation_uniqueness(subject: ZeroSumGame | GameAnalysis) -> CheckVerdict:
     analysis = analyze(subject)
     if not analysis.game.is_confrontation():
         raise GameInputError("uniqueness check requires a confrontation game")
-    return len(minimal_saddles(analysis, DominanceMode.WEAK)) == 1
+    ok = len(minimal_saddles(analysis, DominanceMode.WEAK)) == 1
+    return CheckVerdict(ok, () if ok else ("weak saddle not unique in confrontation game",))
 
 
-def check_distinct_uniqueness(subject: ZeroSumGame | GameAnalysis) -> bool:
+def check_distinct_uniqueness(subject: ZeroSumGame | GameAnalysis) -> CheckVerdict:
     """With pairwise-distinct payoffs the unique weak saddle is the strict one."""
     analysis = analyze(subject)
     weak = minimal_saddles(analysis, DominanceMode.WEAK)
     strict = minimal_saddles(analysis, DominanceMode.STRICT)
-    return len(weak) == 1 and weak.saddles == strict.saddles
+    ok = len(weak) == 1 and weak.saddles == strict.saddles
+    return CheckVerdict(ok, () if ok else ("weak/strict saddles differ on distinct payoffs",))
 
 
 def check_nash_consistency(subject: ZeroSumGame | GameAnalysis) -> CheckVerdict:
@@ -220,12 +226,12 @@ def _reindex_within(inner: tuple[int, ...], outer: tuple[int, ...]) -> tuple[int
 
 def check_subgame_restriction(
     subject: ZeroSumGame | GameAnalysis, outer: ActionProduct, inner: ActionProduct
-) -> bool:
+) -> CheckVerdict:
     """Does GSP-ness of `inner` transfer between the game and the `outer` subgame?
 
-    Requires inner within outer and outer a weak GSP; returns whether
-    "inner is a weak GSP of the game" and "inner (reindexed) is a weak GSP
-    of the subgame induced by outer" agree. Both sides are decided by the
+    Requires inner within outer and outer a weak GSP; checks that "inner is
+    a weak GSP of the game" and "inner (reindexed) is a weak GSP of the
+    subgame induced by outer" agree. Both sides are decided by the
     definitional `is_gsp`, never by the grids that picked the products.
     """
     game = analyze(subject).game
@@ -239,7 +245,13 @@ def check_subgame_restriction(
         _reindex_within(inner.col_set, outer.col_set),
     )
     in_subgame = is_gsp(game.subgame(outer), reindexed, DominanceMode.WEAK)
-    return in_game == in_subgame
+    if in_game == in_subgame:
+        return CheckVerdict(ok=True)
+    failure = (
+        f"restriction biconditional failed for outer "
+        f"{outer.row_set}x{outer.col_set}, inner {inner.row_set}x{inner.col_set}"
+    )
+    return CheckVerdict(ok=False, violations=(failure,))
 
 
 # The checks a campaign runs when none are named. Confrontation uniqueness
@@ -369,65 +381,43 @@ def _sample_restriction_products(
     rng = seeded_rng(campaign_seed, spawn_key=(trial, 1))
     cells = kernels.grid_cells(analysis.gsp_grid(DominanceMode.WEAK), game.cols)
     k = int(rng.integers(len(cells[0])))  # cells: (row masks, column masks)
-    outer = _pick(range(game.rows), range(game.cols), int(cells[0][k]), int(cells[1][k]))
+    outer = masked_product(range(game.rows), range(game.cols), int(cells[0][k]), int(cells[1][k]))
     row_mask = int(rng.integers(1, 1 << len(outer.row_set)))
     col_mask = int(rng.integers(1, 1 << len(outer.col_set)))
-    return outer, _pick(outer.row_set, outer.col_set, row_mask, col_mask)
-
-
-def _pick(rows, cols, row_mask: int, col_mask: int) -> ActionProduct:
-    """The product of the rows and columns at the positions the masks set."""
-    return ActionProduct(
-        (v for i, v in enumerate(rows) if row_mask >> i & 1),
-        (v for i, v in enumerate(cols) if col_mask >> i & 1),
-    )
+    return outer, masked_product(outer.row_set, outer.col_set, row_mask, col_mask)
 
 
 def _run_one_check(
     check: CheckKind, analysis: GameAnalysis, config: TrialConfig, trial: int
-) -> tuple[bool, str]:
-    if check is CheckKind.INTERCHANGEABILITY:
-        verdict = check_interchangeability(analysis)
-        detail = "; ".join(v.describe() for v in verdict.violations)
-        return verdict.ok, detail
-    if check is CheckKind.STRICT_UNIQUE:
-        ok = check_strict_uniqueness(analysis)
-        return ok, "" if ok else "strict saddle not unique"
-    if check is CheckKind.CONFRONTATION_UNIQUE:
-        ok = check_confrontation_uniqueness(analysis)
-        return ok, "" if ok else "weak saddle not unique in confrontation game"
-    if check is CheckKind.DISTINCT_UNIQUE:
-        ok = check_distinct_uniqueness(analysis)
-        return ok, "" if ok else "weak/strict saddles differ on distinct payoffs"
+) -> CheckVerdict:
     if check is CheckKind.SUBGAME_RESTRICTION:
         outer, inner = _sample_restriction_products(analysis, config.seed, trial)
-        ok = check_subgame_restriction(analysis, outer, inner)
-        detail = (
-            ""
-            if ok
-            else f"restriction biconditional failed for outer "
-            f"{outer.row_set}x{outer.col_set}, inner {inner.row_set}x{inner.col_set}"
-        )
-        return ok, detail
-    verdict = (
-        check_min_size(analysis)
-        if check is CheckKind.MIN_SIZE
-        else check_nash_consistency(analysis)
-    )
-    return verdict.ok, "; ".join(verdict.violations)
+        return check_subgame_restriction(analysis, outer, inner)
+    # Looked up per call, not at import: a patched or traced `check_*`
+    # module attribute is the one that runs.
+    run = {
+        CheckKind.INTERCHANGEABILITY: check_interchangeability,
+        CheckKind.STRICT_UNIQUE: check_strict_uniqueness,
+        CheckKind.CONFRONTATION_UNIQUE: check_confrontation_uniqueness,
+        CheckKind.DISTINCT_UNIQUE: check_distinct_uniqueness,
+        CheckKind.NASH_CONSISTENCY: check_nash_consistency,
+        CheckKind.MIN_SIZE: check_min_size,
+    }[check]
+    return run(analysis)
 
 
 def _run_trial(args) -> tuple[int, list[tuple[CheckKind, bool, str]], str | None]:
-    """(trial, (check, ok, detail) per check, the game's text if a check failed)."""
+    """(trial, (check, ok, detail) per check, the game's text if a check failed),
+    where detail joins the verdict's violations with "; "."""
     # One analysis per trial: its checks share the tables and each mode's
     # grids, which go when the trial ends.
     config, trial = args
     game = generate(replace(config.generator, seed=trial_seed(config.seed, trial)))
     analysis = GameAnalysis(game)
-    results = [
-        (check, *_run_one_check(check, analysis, config, trial))
-        for check in config.checks
-    ]
+    results = []
+    for check in config.checks:
+        verdict = _run_one_check(check, analysis, config, trial)
+        results.append((check, verdict.ok, "; ".join(verdict.violations)))
     failed = not all(ok for _, ok, _ in results)
     return trial, results, game.to_text() if failed else None
 

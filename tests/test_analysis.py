@@ -99,14 +99,14 @@ def test_analysis_matches_bare_game_and_oracles(game, pick):
         assert verdict.saddles == saddles
     (strict,) = brute_saddles(entries, "strict")
     assert _pairs([_same(strict_saddle, analysis, game)]) == [strict]
-    assert _same(check_strict_uniqueness, analysis, game)
+    assert _same(check_strict_uniqueness, analysis, game).ok
     _same(check_distinct_uniqueness, analysis, game)
     _same(check_confrontation_uniqueness, analysis, game)
     assert _same(check_nash_consistency, analysis, game).ok
     weak_gsps = grid_gsps(analysis, DominanceMode.WEAK)
     outer = weak_gsps[pick % len(weak_gsps)]
     inner = ActionProduct(outer.row_set[:1], outer.col_set[-1:])
-    assert _same(lambda g: check_subgame_restriction(g, outer, inner), analysis, game)
+    assert _same(lambda g: check_subgame_restriction(g, outer, inner), analysis, game).ok
 
 
 def _subsets(n):
@@ -117,8 +117,8 @@ def _subsets(n):
 
 def test_confrontation_check_on_an_analysis():
     game = new_game(3, 3, [0, 1, -1, -1, 0, 1, 1, -1, 0])
-    assert check_confrontation_uniqueness(GameAnalysis(game))
-    assert check_confrontation_uniqueness(game)
+    assert check_confrontation_uniqueness(GameAnalysis(game)).ok
+    assert check_confrontation_uniqueness(game).ok
 
 
 def test_one_trial_builds_tables_once_and_each_grid_once(monkeypatch):

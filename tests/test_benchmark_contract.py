@@ -68,3 +68,39 @@ def test_perfbench_reference_replays_and_input_properties():
         assert all(isinstance(v, bool) for v in properties.values()), workload
     assert sorted(outcome["properties"]) == ["campaign", "enumerate", "find"]
 
+
+# Runs one campaign operation under perfbench's tracer and prints the calls
+# it recorded per traced name.
+TRACE_CAMPAIGN = """
+import json, sys
+from collections import Counter
+sys.path.insert(0, sys.argv[1])
+from saddles import cli
+from tracer import Tracer
+from workloads import WORKLOADS, call_cli
+
+tracer = Tracer()
+tracer.install()
+try:
+    result = call_cli(cli.main, WORKLOADS["campaign"](0, 0))
+finally:
+    tracer.uninstall()
+calls = Counter(tracer.names[rec[0]] for rec in tracer.spans)
+print(json.dumps({"code": result.code, "calls": calls}))
+"""
+
+
+def test_tracer_sees_the_campaign_checks():
+    # The tracer patches module attributes, so the checks a campaign runs
+    # must be called through them to show up in traced runs.
+    result = _run(["-c", TRACE_CAMPAIGN, str(PERFBENCH)])
+    assert result.returncode == 0, result.stderr
+    outcome = json.loads(result.stdout)
+    assert outcome["code"] == 0
+    for check in (
+        "check_interchangeability",
+        "check_strict_uniqueness",
+        "check_subgame_restriction",
+        "check_nash_consistency",
+    ):
+        assert outcome["calls"].get(f"verify.{check}", 0) >= 1, check

@@ -464,7 +464,8 @@ def test_verify_text_output(capsys):
 
 
 def test_verify_text_report_of_a_failing_check(capsys, monkeypatch):
-    monkeypatch.setattr(verify, "check_strict_uniqueness", lambda analysis: False)
+    failing = verify.CheckVerdict(ok=False, violations=("strict saddle not unique",))
+    monkeypatch.setattr(verify, "check_strict_uniqueness", lambda analysis: failing)
     code, out = run(
         capsys,
         "verify", "--trials", "3", "--rows", "3", "--cols", "3",

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from saddles import (
     GameInputError,
     GameParseError,
-    format_game,
     format_rational,
     new_game,
     parse_game,
@@ -147,6 +146,6 @@ def test_round_trip(rows, cols, data):
         st.lists(st.sampled_from(palette), min_size=rows * cols, max_size=rows * cols)
     )
     game = new_game(rows, cols, entries)
-    text = format_game(game)
+    text = game.to_text()
     assert text == _reference_text(game)
     assert parse_game(text) == game

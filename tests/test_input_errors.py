@@ -43,9 +43,7 @@ def _game():
 
 def _two_strict_saddles(monkeypatch):
     # strict_saddle reads enumerate_saddles from its own module.
-    found = SaddleSet(
-        DominanceMode.STRICT, (ActionProduct((0,), (0,)), ActionProduct((1,), (1,)))
-    )
+    found = SaddleSet((ActionProduct((0,), (0,)), ActionProduct((1,), (1,))))
     monkeypatch.setattr(solver, "enumerate_saddles", lambda analysis, mode: found)
     return strict_saddle(_game())
 

@@ -3,6 +3,7 @@ import multiprocessing
 import os
 import random
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -64,20 +65,28 @@ def test_check_interchangeability_negative_control(a2):
     assert len(verdict.saddles) == 2
     assert not verdict.equivalence_ok
     assert not verdict.ok
-    assert any(v.claim == "equivalence" for v in verdict.violations)
+    assert any(v.startswith("equivalence: ") for v in verdict.violations)
 
 
 def test_strict_uniqueness(a1, a2, a3):
     for game in (a1, a2, a3):
-        assert check_strict_uniqueness(game)
-    assert check_strict_uniqueness(new_game(1, 1, [9]))
+        assert check_strict_uniqueness(game).ok
+    assert check_strict_uniqueness(new_game(1, 1, [9])).ok
+
+
+def test_a_verdict_has_no_truth_value(a1):
+    # `assert check(game)` would pass whatever the check found.
+    for verdict in (check_strict_uniqueness(a1), check_interchangeability(a1)):
+        assert verdict.ok and verdict.violations == ()
+        with pytest.raises(TypeError, match="read its .ok"):
+            bool(verdict)
 
 
 def test_confrontation_uniqueness():
-    assert check_confrontation_uniqueness(new_game(2, 2, [0, 1, -1, 0]))
+    assert check_confrontation_uniqueness(new_game(2, 2, [0, 1, -1, 0])).ok
     for seed in range(10):
         g = generate(GeneratorConfig(GeneratorKind.TOURNAMENT, 5, 5, 1, seed))
-        assert check_confrontation_uniqueness(g)
+        assert check_confrontation_uniqueness(g).ok
 
 
 def test_confrontation_uniqueness_rejects_other_games(a2):
@@ -161,8 +170,8 @@ def test_nash_consistency_rejects_every_wrong_pair(monkeypatch, a1, tamper):
 
 def test_subgame_restriction_golden(a1):
     full = a1.full_product()
-    assert check_subgame_restriction(a1, full, ActionProduct([0, 1], [0, 1, 2]))
-    assert check_subgame_restriction(a1, full, ActionProduct([1, 2], [3]))
+    assert check_subgame_restriction(a1, full, ActionProduct([0, 1], [0, 1, 2])).ok
+    assert check_subgame_restriction(a1, full, ActionProduct([1, 2], [3])).ok
 
 
 def test_subgame_restriction_preconditions(a1):
@@ -181,7 +190,7 @@ def test_subgame_restriction_random_triples():
         from saddles.verify import _sample_restriction_products
 
         outer, inner = _sample_restriction_products(g, 1234, trial)
-        assert check_subgame_restriction(g, outer, inner)
+        assert check_subgame_restriction(g, outer, inner).ok
 
 
 def test_restriction_sampler_reaches_every_weak_gsp():
@@ -349,6 +358,95 @@ def test_failure_witness_is_replayable():
     )
     assert replayed.to_text() == witness.game_text
     assert witness.seed == trial_seed(7, witness.trial)
+
+
+def _doubled_saddles(monkeypatch):
+    # Every saddle set comes back with each saddle twice: no saddle is unique.
+    real = verify.minimal_saddles
+
+    def doubled(subject, mode):
+        found = real(subject, mode)
+        return replace(found, saddles=found.saddles * 2)
+
+    monkeypatch.setattr(verify, "minimal_saddles", doubled)
+
+
+def _no_permutation(monkeypatch):
+    monkeypatch.setattr(verify, "permutation_equivalent", lambda a, b: None)
+
+
+def _subgame_side_flipped(monkeypatch):
+    # `is_gsp` answers as before on the trial's game, the first it is asked
+    # about, and the opposite on any other, the outer product's subgame.
+    real, games = verify.is_gsp, []
+
+    def flipped(game, product, mode):
+        games.append(game)
+        return real(game, product, mode) is (game is games[0])
+
+    monkeypatch.setattr(verify, "is_gsp", flipped)
+
+
+def _no_nash(monkeypatch):
+    monkeypatch.setattr(verify, "is_nash", lambda game, pair: False)
+
+
+def _every_gsp_minimum(monkeypatch):
+    monkeypatch.setattr(kernels, "min_size_cells", kernels.grid_cells)
+
+
+# Per check: the generator, the campaign seed, the patch that makes the check
+# fail on that seed's single trial, and the failure's detail, byte for byte.
+FAILURES = {
+    CheckKind.INTERCHANGEABILITY: (
+        GeneratorKind.UNIFORM_INT, 7, _no_permutation,
+        "equivalence: (0,)x(2,) vs (1,)x(2,); equivalence: (0,)x(2,) vs (2,)x(2,); "
+        "equivalence: (1,)x(2,) vs (2,)x(2,)",
+    ),
+    CheckKind.STRICT_UNIQUE: (
+        GeneratorKind.UNIFORM_INT, 7, _doubled_saddles, "strict saddle not unique"
+    ),
+    CheckKind.CONFRONTATION_UNIQUE: (
+        GeneratorKind.TOURNAMENT, 7, _doubled_saddles,
+        "weak saddle not unique in confrontation game",
+    ),
+    CheckKind.DISTINCT_UNIQUE: (
+        GeneratorKind.UNIFORM_INT, 7, _doubled_saddles,
+        "weak/strict saddles differ on distinct payoffs",
+    ),
+    CheckKind.SUBGAME_RESTRICTION: (
+        GeneratorKind.UNIFORM_INT, 7, _subgame_side_flipped,
+        "restriction biconditional failed for outer (1, 2)x(2,), inner (1, 2)x(2,)",
+    ),
+    CheckKind.NASH_CONSISTENCY: (
+        GeneratorKind.UNIFORM_INT, 5, _no_nash,
+        "equilibrium of saddle (1, 2)x(0, 1) (subgame value 1/2) is not an equilibrium "
+        "of the game; equilibrium of saddle (1, 2)x(0, 2) (subgame value 1/2) is not an "
+        "equilibrium of the game",
+    ),
+    CheckKind.MIN_SIZE: (
+        GeneratorKind.UNIFORM_INT, 5, _every_gsp_minimum,
+        "weak: saddles (1, 2)x(0, 1), (1, 2)x(0, 2) but minimum-size GSPs "
+        "(0, 1, 2)x(0, 1), (0, 1, 2)x(0, 1, 2), (0, 1, 2)x(0, 2), (1, 2)x(0, 1), "
+        "(1, 2)x(0, 1, 2), (1, 2)x(0, 2); strict: saddles (1, 2)x(0, 1, 2) but "
+        "minimum-size GSPs (0, 1, 2)x(0, 1, 2), (1, 2)x(0, 1, 2)",
+    ),
+}
+
+
+@pytest.mark.parametrize("check", list(CheckKind), ids=lambda k: k.value)
+def test_each_check_reports_its_failure_text(monkeypatch, check):
+    kind, seed, patch, detail = FAILURES[check]
+    patch(monkeypatch)
+    config = TrialConfig(
+        trials=1,
+        generator=GeneratorConfig(kind, 3, 3, 1, 0),
+        checks=(check,),
+        seed=seed,
+    )
+    (outcome,) = run_trials(config).outcomes
+    assert (outcome.passed, outcome.failed) == (0, 1)
+    assert outcome.first_failure.detail == detail
 
 
 def test_check_kind_token_round_trip():
