@@ -30,10 +30,11 @@ halves above):
   closes the marks upward; the GSPs left unmarked are minimal.
 
 `min_size_cells` reads the GSP grid without the filter: it walks the words
-in chunks and keeps the set cells whose flat index has the fewest set bits,
-the GSPs with the fewest actions |R| + |C|. Under weak and under strict
-dominance those are exactly the saddles (see `solver`), so the answer paths
-read them; the filter stays for weak-strict dominance and the referees.
+in chunks, counts set bits with `np.bitwise_count` (numpy 2), and keeps the
+set cells whose flat index has the fewest, the GSPs with the fewest actions
+|R| + |C|. Under weak and under strict dominance those are exactly the
+saddles (see `solver`), so the answer paths read them; the filter stays for
+weak-strict dominance and the referees.
 
 The grid and `find`'s scan take their non-dominator sets from one
 function, `non_dominators`, over one bitmask dominance test,
@@ -217,25 +218,12 @@ def saddle_grids(game: ZeroSumGame, mode: DominanceMode, tables):
     return _gsp_grid(*tables, n, m, mode)
 
 
-def _popcounts(count):
-    # Set bits of 0 .. count - 1 (a power of two), as uint8.
-    bits = np.zeros(count, dtype=np.uint8)
-    size = 1
-    while size < count:
-        bits[size : 2 * size] = bits[:size] + 1
-        size *= 2
-    return bits
-
-
-# Words per chunk of `min_size_cells`. A chunk starts at a multiple of it, so
-# a word index has the set bits of its chunk's start plus those of its offset.
+# Words per chunk of `min_size_cells`, the bound on its temporaries.
 _WALK_WORDS = 1 << 14
-_OFFSET_BITS = _popcounts(_WALK_WORDS)
-# _FEWEST[b]: the fewest set bits among the positions 0-7 set in byte b; 64
-# for an empty byte, so that it never counts as the fewest.
-_FEWEST = np.array(
-    [min((bin(k).count("1") for k in range(8) if b >> k & 1), default=64) for b in range(256)],
-    dtype=np.uint8,
+# _WEIGHTS[w]: the positions 0-63 of a word that have w set bits.
+_WEIGHTS = np.array(
+    [sum(1 << p for p in range(64) if p.bit_count() == w) for w in range(7)],
+    dtype=np.uint64,
 )
 
 
@@ -262,11 +250,11 @@ def min_size_cells(words, cols: int):
     index R * 2^cols + C has the fewest set bits, |R| + |C|, in ascending
     order.
 
-    The grid is walked in chunks of `_WALK_WORDS` words: each chunk's
-    nonzero words are read, those whose index alone has more set bits than
-    the best size so far are dropped, and each word left gets the fewest set
-    bits of its cells from its bytes (byte j holds positions 8j + k, with
-    bits(j) + bits(k) set bits). Only the words that reach the best size so
+    The grid is walked in chunks of `_WALK_WORDS` words. A cell's set bits
+    are those of its word's index plus those of its position in the word:
+    each chunk's nonzero words whose index alone has more set bits than the
+    best size so far are dropped, and each word left adds the weight of the
+    first of `_WEIGHTS` it meets. Only the words that reach the best size so
     far are kept, so the temporaries stay within a chunk whatever the grid's
     size and however many of its cells are set.
     """
@@ -275,24 +263,23 @@ def min_size_cells(words, cols: int):
         chunk = words[start : start + _WALK_WORDS]
         if not np.count_nonzero(chunk):
             continue
-        at = np.flatnonzero(chunk)
-        outer = _OFFSET_BITS[at] + np.uint8(bin(start).count("1"))
+        index = np.flatnonzero(chunk) + start
+        outer = np.bitwise_count(index)
         near = outer <= best
-        at, outer = at[near], outer[near]
-        if not len(at):
+        index, outer = index[near], outer[near]
+        if not len(index):
             continue
-        raw = chunk[at].astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
-        total = outer + (_FEWEST[raw] + _OFFSET_BITS[:8]).min(axis=1)
+        picked = words[index]
+        total = outer + ((picked[:, None] & _WEIGHTS) != 0).argmax(axis=1)
         low = int(total.min())
         if low > best:
             continue
         if low < best:
             best, kept = low, []
-        pick = total == low
-        kept.append((at[pick] + start, chunk[at[pick]], outer[pick]))
+        kept.append((index[total == low], picked[total == low]))
     if not kept:  # an empty grid
         return _masks(np.zeros(0, dtype=np.int64), cols)
-    index, picked, outer = (np.concatenate(parts) for parts in zip(*kept))
+    index, picked = (np.concatenate(parts) for parts in zip(*kept))
     word, bit = _set_bits(picked)
-    fewest = outer[word] + _OFFSET_BITS[bit] == best
-    return _masks(((index[word] << _WORD_SHIFT) | bit)[fewest], cols)
+    cells = (index[word] << _WORD_SHIFT) | bit
+    return _masks(cells[np.bitwise_count(cells) == best], cols)

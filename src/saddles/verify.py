@@ -168,6 +168,9 @@ def check_confrontation_uniqueness(subject: ZeroSumGame | GameAnalysis) -> Check
 def check_distinct_uniqueness(subject: ZeroSumGame | GameAnalysis) -> CheckVerdict:
     """With pairwise-distinct payoffs the unique weak saddle is the strict one."""
     analysis = analyze(subject)
+    game = analysis.game
+    if len(game.values) < game.rows * game.cols:
+        raise GameInputError("distinct-payoff check requires pairwise-distinct payoffs")
     weak = minimal_saddles(analysis, DominanceMode.WEAK)
     strict = minimal_saddles(analysis, DominanceMode.STRICT)
     ok = len(weak) == 1 and weak.saddles == strict.saddles
@@ -255,8 +258,8 @@ def check_subgame_restriction(
 
 
 # The checks a campaign runs when none are named. Confrontation uniqueness
-# holds only on confrontation games (TrialConfig refuses it elsewhere), and
-# the distinct-payoff check only on pairwise-distinct payoffs.
+# holds only on confrontation games, and the distinct-payoff check only on
+# pairwise-distinct payoffs; TrialConfig refuses each on other generators.
 DEFAULT_CHECKS: dict[GeneratorKind, tuple[CheckKind, ...]] = {
     GeneratorKind.UNIFORM_INT: (CheckKind.INTERCHANGEABILITY, CheckKind.STRICT_UNIQUE),
     GeneratorKind.DISTINCT_INT: (
@@ -302,6 +305,9 @@ class TrialConfig:
             raise GameInputError(
                 "confrontation uniqueness needs a confrontation or tournament generator"
             )
+        distinct = self.generator.kind is GeneratorKind.DISTINCT_INT
+        if CheckKind.DISTINCT_UNIQUE in normalized and not distinct:
+            raise GameInputError("distinct-payoff uniqueness needs the distinct generator")
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,8 @@
 """perfbench runs against this checkout: its imports of the package resolve,
 its reference outputs still come out, and its self-test still counts an
-injected wrong answer. Everything runs in child interpreters and writes
-nothing under perfbench/."""
+injected wrong answer. The layer benchmark, benchmarks/bench_enumerate.py,
+still writes every layer it documents. Everything runs in child
+interpreters and writes nothing under perfbench/."""
 
 import json
 import subprocess
@@ -104,3 +105,44 @@ def test_tracer_sees_the_campaign_checks():
         "check_nash_consistency",
     ):
         assert outcome["calls"].get(f"verify.{check}", 0) >= 1, check
+
+
+# The keys of each row of the layer benchmark's sections, by section.
+LAYER_KEYS = {
+    "results": {
+        "size", "cells", "tables_ms", "nondominator_sets_ms", "gsp_grid_ms",
+        "gsp_closure_ms", "minimal_filter_ms", "min_size_walk_ms",
+        "cell_extraction_ms", "saddle_grids_ms",
+    },
+    "lp": {"size", "bound", "games", "packing_lp_ms", "game_value_ms"},
+    "trial": {
+        "size", "bound", "games", "trial_ms", "tables_per_trial",
+        "grids_per_trial", "lps_per_trial",
+    },
+    "find": {
+        "game", "size", "bound", "games", "find_ms", "find_ms_quartiles",
+        "nondominator_calls",
+    },
+    "front_end": {
+        "payoffs", "size", "games", "distinct_tokens", "parse_game_ms",
+        "ranks_ms", "digest_ms",
+    },
+}
+
+
+def test_layer_benchmark_runs(tmp_path):
+    # No other test runs the script, so a renamed import or layer would go
+    # unnoticed until the next benchmark run.
+    out = tmp_path / "layers.json"
+    script = ROOT / "benchmarks" / "bench_enumerate.py"
+    argv = [sys.executable, str(script), "--sizes", "3", "--repeats", "1", "--out", str(out)]
+    run = subprocess.run(argv, cwd=tmp_path, capture_output=True, text=True,
+                         env=checkout_env())
+    assert run.returncode == 0, run.stderr
+    doc = json.loads(out.read_text())
+    for section, keys in LAYER_KEYS.items():
+        assert doc[section], section
+        for row in doc[section]:
+            assert set(row) == keys, (section, row)
+    assert [row["size"] for row in doc["lp"]] == ["5x5", "5x5", "8x8"]
+    assert all(row["packing_lp_ms"] > 0 and row["game_value_ms"] > 0 for row in doc["lp"])

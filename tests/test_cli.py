@@ -527,6 +527,22 @@ def test_verify_largest_bound_runs(capsys):
     assert code == 0 and "all checks passed" in out
 
 
+@pytest.mark.parametrize("gen", ["uniform", "confrontation", "tournament"])
+def test_verify_refuses_distinct_check_before_generating(capsys, monkeypatch, gen):
+    # The check's premise, pairwise-distinct payoffs, holds only on the
+    # distinct generator; elsewhere it would report violations not there.
+    def never(config):
+        raise AssertionError("a game was generated")
+
+    monkeypatch.setattr("saddles.verify.generate", never)
+    code = main(
+        ["verify", "--trials", "50", "--rows", "4", "--cols", "4", "--gen", gen,
+         "--bound", "1", "--seed", "3", "--checks", "distinct_unique"]
+    )
+    assert code == 2
+    assert "needs the distinct generator" in capsys.readouterr().err
+
+
 def test_verify_refuses_shape_over_guard_before_generating(capsys, monkeypatch):
     def never(config):
         raise AssertionError("a game was generated")

@@ -259,10 +259,12 @@ def _scan_min_size(words, cols):
     return row_masks[fewest].tolist(), col_masks[fewest].tolist()
 
 
-def test_min_size_cells_across_chunks():
+def test_min_size_cells_across_chunks(monkeypatch):
     # Grids of 2^21 cells span two chunks of the walk. The smallest cells
     # may lie in the first chunk, in the second (so the first chunk's are
-    # dropped), or in both; a dense grid has cells of every size.
+    # dropped), or in both; a dense grid has cells of every size. Chunks of
+    # 3 and 4099 words, which split the same grids differently, start at
+    # word indices with any number of set bits.
     rng = np.random.default_rng(5)
     words = 1 << 15
     cols = 10
@@ -273,21 +275,23 @@ def test_min_size_cells_across_chunks():
             packed[cell >> 6] |= np.uint64(1) << np.uint64(cell & 63)
         return packed
 
-    second = kernels._WALK_WORDS << 6  # the first cell of the second chunk
-    grids = [
-        np.zeros(words, dtype=np.uint64),
-        grid(0b111 << 12, 0b1011 << 5),  # first chunk only
-        grid(0b1111 << 3, second | 0b1, second | 0b1000000),  # second is smaller
-        grid(0b11 << 3, 0b101 << 9, second | 0b10),  # equal sizes in both
-        grid(*(1 << 21) - 1 - np.arange(0, 1 << 21, 4099)),  # near-full indices
-        rng.integers(0, 2**63, size=words, dtype=np.uint64),  # dense
-        rng.integers(0, 2**63, size=words, dtype=np.uint64)
-        & rng.integers(0, 2**63, size=words, dtype=np.uint64)
-        & (rng.random(words) < 0.01).astype(np.uint64) * np.uint64(2**64 - 1),  # sparse
-    ]
-    for packed in grids:
-        found = [masks.tolist() for masks in kernels.min_size_cells(packed, cols)]
-        assert found == list(_scan_min_size(packed, cols))
+    for walk_words in (kernels._WALK_WORDS, 3, 4099):
+        monkeypatch.setattr(kernels, "_WALK_WORDS", walk_words)
+        second = walk_words << 6  # the first cell of the second chunk
+        grids = [
+            np.zeros(words, dtype=np.uint64),
+            grid(0b111 << 12, 0b1011 << 5),  # first chunk only
+            grid(0b1111 << 3, second | 0b1, second | 0b1000000),  # second is smaller
+            grid(0b11 << 3, 0b101 << 9, second | 0b10),  # equal sizes in both
+            grid(*(1 << 21) - 1 - np.arange(0, 1 << 21, 4099)),  # near-full indices
+            rng.integers(0, 2**63, size=words, dtype=np.uint64),  # dense
+            rng.integers(0, 2**63, size=words, dtype=np.uint64)
+            & rng.integers(0, 2**63, size=words, dtype=np.uint64)
+            & (rng.random(words) < 0.01).astype(np.uint64) * np.uint64(2**64 - 1),  # sparse
+        ]
+        for packed in grids:
+            found = [masks.tolist() for masks in kernels.min_size_cells(packed, cols)]
+            assert found == list(_scan_min_size(packed, cols)), walk_words
 
 
 def test_grid_budget_checked_before_allocation(monkeypatch):

@@ -1,14 +1,9 @@
-"""The exact LP: optimality certificates on random positive integer LPs, a
-layer-benchmark smoke run, and digests of `value` and `nash --json` output
-on seeded games."""
+"""The exact LP: optimality certificates on random positive integer LPs and
+digests of `value` and `nash --json` output on seeded games."""
 
 import hashlib
-import json
 import random
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -16,10 +11,7 @@ from saddles import GeneratorConfig, GeneratorKind, generate, new_game
 from saddles.cli import main
 from saddles.simplex import solve_packing_lp
 
-from conftest import checkout_env
-
 F = Fraction
-ROOT = Path(__file__).resolve().parent.parent
 
 
 def _random_packing_lp(rng, n, m):
@@ -79,20 +71,6 @@ def test_known_optimum():
     # (2/5, 1/5), optimum 3. Bland's rule pivots on 2, then on 5, so the
     # optimal tableau's denominator is 5.
     assert solve_packing_lp([[2, 1], [1, 3]], [5, 5]) == ([10, 5], [2, 1], 15, 5)
-
-
-def test_layer_benchmark_runs(tmp_path):
-    # No other test runs the script, so a renamed import or key would go
-    # unnoticed until the next benchmark run.
-    out = tmp_path / "layers.json"
-    script = ROOT / "benchmarks" / "bench_enumerate.py"
-    argv = [sys.executable, str(script), "--sizes", "3", "--repeats", "1", "--out", str(out)]
-    run = subprocess.run(argv, cwd=tmp_path, capture_output=True, text=True,
-                         env=checkout_env())
-    assert run.returncode == 0, run.stderr
-    lp = json.loads(out.read_text())["lp"]
-    assert [row["size"] for row in lp] == ["5x5", "5x5", "8x8"]
-    assert all(row["packing_lp_ms"] > 0 and row["game_value_ms"] > 0 for row in lp)
 
 
 def _rational_game(seed, rows, cols):

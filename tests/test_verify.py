@@ -22,6 +22,7 @@ from saddles import (
     MixedStrategyPair,
     TrialConfig,
     check_confrontation_uniqueness,
+    check_distinct_uniqueness,
     check_subgame_restriction,
     check_nash_consistency,
     check_strict_uniqueness,
@@ -92,6 +93,12 @@ def test_confrontation_uniqueness():
 def test_confrontation_uniqueness_rejects_other_games(a2):
     with pytest.raises(GameInputError):
         check_confrontation_uniqueness(a2)
+
+
+def test_distinct_uniqueness_rejects_repeated_payoffs():
+    assert check_distinct_uniqueness(new_game(2, 2, [1, 2, 3, 4])).ok
+    with pytest.raises(GameInputError, match="pairwise-distinct payoffs"):
+        check_distinct_uniqueness(new_game(2, 2, [1, 2, 3, 1]))
 
 
 def test_nash_consistency_golden(a1, a2, a3):
@@ -252,6 +259,9 @@ def test_trial_config_validation():
         _campaign(trials=0)
     with pytest.raises(GameInputError):
         _campaign(checks=(CheckKind.CONFRONTATION_UNIQUE,))
+    for kind in (GeneratorKind.UNIFORM_INT, GeneratorKind.CONFRONTATION, GeneratorKind.TOURNAMENT):
+        with pytest.raises(GameInputError, match="needs the distinct generator"):
+            _campaign(kind=kind, checks=(CheckKind.DISTINCT_UNIQUE,))
     cfg = _campaign(
         kind=GeneratorKind.TOURNAMENT,
         rows=4,
@@ -339,13 +349,14 @@ def test_checks_normalized_to_canonical_order():
     assert cfg.checks == (CheckKind.INTERCHANGEABILITY, CheckKind.STRICT_UNIQUE)
 
 
-def test_failure_witness_is_replayable():
-    # Force a failure by abusing the distinct-payoff check on a generator
-    # that produces ties; the witness must replay to the same game.
+def test_failure_witness_is_replayable(monkeypatch):
+    # Force a failure with saddle sets that hold every saddle twice; the
+    # witness must replay to the same game.
+    _doubled_saddles(monkeypatch)
     config = TrialConfig(
         trials=40,
         generator=GeneratorConfig(GeneratorKind.UNIFORM_INT, 4, 4, 1, 0),
-        checks=(CheckKind.DISTINCT_UNIQUE,),
+        checks=(CheckKind.STRICT_UNIQUE,),
         seed=7,
     )
     report = run_trials(config)
@@ -411,7 +422,7 @@ FAILURES = {
         "weak saddle not unique in confrontation game",
     ),
     CheckKind.DISTINCT_UNIQUE: (
-        GeneratorKind.UNIFORM_INT, 7, _doubled_saddles,
+        GeneratorKind.DISTINCT_INT, 7, _doubled_saddles,
         "weak/strict saddles differ on distinct payoffs",
     ),
     CheckKind.SUBGAME_RESTRICTION: (
@@ -438,9 +449,11 @@ FAILURES = {
 def test_each_check_reports_its_failure_text(monkeypatch, check):
     kind, seed, patch, detail = FAILURES[check]
     patch(monkeypatch)
+    # The distinct generator needs 2 * bound + 1 >= 9 values for a 3x3 game.
+    bound = 4 if kind is GeneratorKind.DISTINCT_INT else 1
     config = TrialConfig(
         trials=1,
-        generator=GeneratorConfig(kind, 3, 3, 1, 0),
+        generator=GeneratorConfig(kind, 3, 3, bound, 0),
         checks=(check,),
         seed=seed,
     )
