@@ -15,8 +15,8 @@ import sys
 from .dominance import DominanceMode
 from .equilibrium import game_value, nash_equilibrium
 from .errors import (
-    MAX_GRID_BITS, MAX_LP_BITS, MAX_LP_CELLS, MAX_SADDLE_PAIRS, CapacityError,
-    GameInputError, PropertyViolationError)
+    MAX_GRID_BITS, MAX_LP_BITS, MAX_LP_CELLS, MAX_SADDLE_PAIRS, MAX_SIDE_ACTIONS,
+    CapacityError, GameInputError, PropertyViolationError)
 from .game import ZeroSumGame, format_rational
 from .gamefile import parse_game
 from .generators import GeneratorConfig, GeneratorKind
@@ -186,8 +186,9 @@ def build_parser() -> argparse.ArgumentParser:
     budget = f"({actions})"
     add_game_command("enumerate", _enumerate, f"list all saddles {budget}")
     add_game_command(
-        "find", _find, "find the smallest saddle (no grid; the scan is exponential in "
-        "the smallest saddle's size and has no budget yet)",
+        "find", _find, f"find the smallest saddle (at most {MAX_SIDE_ACTIONS} actions a "
+        "side; no grid, and no time budget yet: the scan is exponential in the "
+        "smallest saddle's size)",
     )
     add_game_command(
         "strict", _strict, f"the unique strict saddle {budget}", fixed_mode="strict"

@@ -18,7 +18,9 @@ def enum_from_token(kind, token: str, noun: str):
 
 class CapacityError(RuntimeError):
     """A resource budget was exceeded: saddle grids above the grid-bit budget
-    (`MAX_GRID_BITS`, checked by `check_grid_budget` in this module), an exact
+    (`MAX_GRID_BITS`, checked by `check_grid_budget` in this module), `find`'s
+    dominance tables above the side budget (`MAX_SIDE_ACTIONS`, checked by
+    `check_side_budget`), an exact
     LP above the tableau budget (`MAX_LP_CELLS`, checked by
     `check_lp_budget`) or above the integer-length budget (`MAX_LP_BITS`,
     checked in `equilibrium`), more saddle pairs to compare than the pair
@@ -57,6 +59,27 @@ def check_grid_budget(rows: int, cols: int) -> None:
         raise CapacityError(
             f"saddle grids of a {rows}x{cols} game need 2^{rows + cols} bits each, "
             f"over the budget of 2^{limit} bits (at most {limit} actions in all)"
+        )
+
+
+# `find` builds no grid, but its dominance tables compare every pair of
+# actions of a side against every opponent action: one (n, n, m) and one
+# (m, m, n) bool temporary, plus n^2 + m^2 python-int masks. At 512 actions a
+# side the larger temporary is at most 512^3 = 2^27 bytes, the bytes of one
+# grid at MAX_GRID_BITS. Building the tables peaked at 269 MB RSS on a
+# 512x512 game and at 406 MB on a 600x600 one (numpy 2.4.6).
+MAX_SIDE_ACTIONS = 512
+
+
+def check_side_budget(rows: int, cols: int) -> None:
+    """Raise CapacityError when a side of a rows x cols game has more than
+    MAX_SIDE_ACTIONS actions; `find_saddle` checks it before any table is
+    built."""
+    if max(rows, cols) > MAX_SIDE_ACTIONS:
+        raise CapacityError(
+            f"the dominance tables of a {rows}x{cols} game compare "
+            f"{max(rows, cols)} actions on one side, over the budget of "
+            f"{MAX_SIDE_ACTIONS} actions a side"
         )
 
 

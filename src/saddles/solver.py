@@ -7,7 +7,9 @@ the exhaustive GSP grid (exponential, within the grid budget of
 `errors.check_grid_budget`); `find_saddle` returns one and needs no grid:
 it scans products smallest first and tests each by the grid's own rule,
 on non-dominator sets that the grid's kernel builds for a chunk of
-opponent masks per call and that the scan keeps, within a bound.
+opponent masks per call and that the scan keeps, within a bound. It skips
+a row set outright when a count of disjoint sets that every passing column
+set must meet exceeds the column count of the level.
 A `GameAnalysis` holds one game's tables and grids, so several questions
 about the same game share one build of each.
 
@@ -35,7 +37,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from .dominance import DominanceMode, set_dominates_cols, set_dominates_rows
-from .errors import PropertyViolationError, check_grid_budget
+from .errors import PropertyViolationError, check_grid_budget, check_side_budget
 from .game import ActionProduct, ZeroSumGame
 
 
@@ -227,18 +229,21 @@ class _SideRule:
     outside S. The nd sets come from the grid's own `kernels.non_dominators`,
     on `ge` and `gt`, object tables of python ints, so they stay exact for
     any number of actions. A passing S must meet the complements of an
-    opponent mask's nd sets, its must-meet masks.
+    opponent mask's nd sets, its must-meet masks. A passing S holds a
+    separate action in each of any pairwise disjoint must-meet masks, so
+    their count (`_disjoint_count`) is a lower bound on |S|.
 
     `chunks(level)` yields the opponent masks of `level` actions in
     `combinations` order, `cap` masks a chunk (the level's last may hold
-    fewer), as [masks, must-meet tuples or None] lists; `meet` fills in a
-    chunk's must-meet tuples with one kernel call the first time the scan
-    needs them. Each level keeps the chunks walked, in order, while they fit
+    fewer), as [masks, must-meet tuples or None, size bounds or None]
+    lists; `meet` fills in a chunk's must-meet tuples with one kernel call
+    the first time the scan needs them, and `bounds` its size bounds from
+    them. Each level keeps the chunks walked, in order, while they fit
     in the side's `_MEMO_MASKS` (2^16) opponent masks; it stops at the
     first chunk that does not fit, so what a level keeps is a prefix of it,
     which a later walk yields before it resumes `combinations` past it.
     A side so holds at most 2^16 opponent masks and one chunk more, each
-    with `count` masks of `count` bits.
+    with `count` masks of `count` bits and one bound.
     """
 
     def __init__(self, ge, gt, count: int, opp_count: int, mode: DominanceMode):
@@ -259,7 +264,7 @@ class _SideRule:
         # and the free lists of those sizes then filled up and held about
         # 0.9 MB on a stream of 7x7 games.
         while masks := list(map(sum, itertools.islice(rest, self.cap))):
-            chunk = [masks, None]
+            chunk = [masks, None, None]
             keep = keep and len(masks) <= self.room
             if keep:
                 kept.append(chunk)
@@ -279,6 +284,25 @@ class _SideRule:
             chunk[1] = [tuple(map(full.__xor__, nd)) for nd in sets.T.tolist()]
         return chunk[1]
 
+    def bounds(self, chunk) -> list[int]:
+        """A lower bound on the size of a passing side, for each of a
+        chunk's opponent masks."""
+        if chunk[2] is None:
+            chunk[2] = list(map(_disjoint_count, self.meet(chunk)))
+        return chunk[2]
+
+
+def _disjoint_count(masks) -> int:
+    # How many of `masks` are pairwise disjoint, picked greedily with the
+    # fewest bits first. A set that meets every mask holds a separate member
+    # of each disjoint one, so this never exceeds the smallest such set.
+    taken = count = 0
+    for mask in sorted(masks, key=int.bit_count):
+        if not mask & taken:
+            taken |= mask
+            count += 1
+    return count
+
 
 def find_saddle(game: ZeroSumGame, mode: DominanceMode) -> ActionProduct:
     """The smallest saddle: fewest actions, then fewest rows, then lexicographic.
@@ -291,9 +315,14 @@ def find_saddle(game: ZeroSumGame, mode: DominanceMode) -> ActionProduct:
     Those sets are built a chunk of opponent masks at a time, one kernel
     call per chunk, and kept (see `_SideRule`), so a product test is two
     runs of integer ANDs, column side first, since its sets depend only on
-    the row set. It builds no grid, so the grid budget does not apply: the
-    scan is output-sensitive but exponential in the worst case.
+    the row set. A row set whose column sets must meet more disjoint
+    must-meet masks than the level has columns is skipped with no product
+    tested: no column set of that level passes it. It builds no grid, so
+    the grid budget does not apply: the scan is output-sensitive but
+    exponential in the worst case. A side of more than `MAX_SIDE_ACTIONS`
+    actions raises CapacityError before any table is built.
     """
+    check_side_budget(game.rows, game.cols)
     from . import kernels
 
     row_ge, row_gt, col_le, col_lt = kernels.dominance_mask_tables(game, object)
@@ -312,10 +341,15 @@ def _first_gsp(n: int, m: int, rows_rule: _SideRule, cols_rule: _SideRule) -> Ac
     # Levels by total size, then row count; within a level rows, then cols,
     # lexicographically, which is the order the chunks give the masks. The
     # column rule's chunks are of row masks, the row rule's of column masks.
+    # A row mask whose column sets need more than the level's total - k
+    # columns has no passing column set there, so it is skipped.
     for total in range(2, n + m + 1):
         for k in range(max(1, total - m), min(n, total - 1) + 1):
             for row_chunk in cols_rule.chunks(k):
-                for row_mask, col_outs in zip(row_chunk[0], cols_rule.meet(row_chunk)):
+                meets, needs = cols_rule.meet(row_chunk), cols_rule.bounds(row_chunk)
+                for row_mask, col_outs, need in zip(row_chunk[0], meets, needs):
+                    if need > total - k:
+                        continue
                     for col_chunk in rows_rule.chunks(total - k):
                         for at, col_mask in enumerate(col_chunk[0]):
                             if all(map(col_mask.__and__, col_outs)) and all(

@@ -264,6 +264,19 @@ def test_find_answers_past_the_grid_budget(capsys, monkeypatch, tmp_path):
     assert code == 0 and json.loads(out)["saddles"] == [[[2], [5]]]
 
 
+def test_find_side_budget_exit_code(capsys, monkeypatch, tmp_path):
+    # 512 actions on a side fill the side budget and are solved; one more is
+    # refused before any dominance table is built.
+    code, out = run(capsys, "find", _game_file(tmp_path, 1, 512, lambda r, c: 1), "--json")
+    assert code == 0 and json.loads(out)["saddles"] == [[[0], [0]]]
+    monkeypatch.setattr(kernels, "dominance_mask_tables", _unreachable)
+    assert main(["find", _game_file(tmp_path, 1, 513, lambda r, c: 1)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "513 actions on one side" in captured.err
+    assert "budget of 512 actions a side" in captured.err
+
+
 def test_memory_error_exit_code(capsys, monkeypatch, a1_file):
     def exhausted(*args, **kwargs):
         raise MemoryError

@@ -114,19 +114,46 @@ def test_find_saddle_matches_enumeration_on_random_games():
             assert find_saddle(g, mode) in enumerate_saddles(g, mode)
 
 
-def test_find_saddle_is_smallest_gsp():
+def test_find_saddle_is_smallest_gsp(monkeypatch):
     # The first GSP in (total size, row count, rows, cols) order has no proper
-    # GSP subproduct, so it is the saddle `find_saddle` must return.
+    # GSP subproduct, so it is the saddle `find_saddle` must return. On the
+    # 6x6 and 5x7 games the disjoint must-meet bound skips row masks: a row
+    # mask's bound is first computed at its level of one column, so a bound
+    # above 1 skips it there.
     def key(p):
         return (p.size(), len(p.row_set), p.row_set, p.col_set)
 
-    for trial in range(40):
+    bounds = []
+    count = solver._disjoint_count
+    monkeypatch.setattr(solver, "_disjoint_count", lambda m: bounds.append(count(m)) or bounds[-1])
+    shapes = [(4, 5, 202, trial) for trial in range(40)]
+    shapes += [(rows, cols, 203, t) for t in range(12) for rows, cols in ((6, 6), (5, 7))]
+    for rows, cols, seed, trial in shapes:
         bound = 1 + trial % 3
         g = generate(
-            GeneratorConfig(GeneratorKind.UNIFORM_INT, 4, 5, bound, trial_seed(202, trial))
+            GeneratorConfig(GeneratorKind.UNIFORM_INT, rows, cols, bound, trial_seed(seed, trial))
         )
         for mode in (WEAK, STRICT, WRS):
             assert find_saddle(g, mode) == min(grid_gsps(GameAnalysis(g), mode), key=key)
+    assert max(bounds) > 1
+
+
+def test_disjoint_count_is_a_hitting_set_lower_bound():
+    # A set that meets every mask of a family holds a separate member of each
+    # of its pairwise disjoint masks, so the greedy count never exceeds the
+    # smallest such set, brute-forced here over 6 bits; on a family of
+    # pairwise disjoint masks it is the family's size.
+    rng = random.Random(29)
+    for _ in range(2000):
+        family = [rng.randrange(1, 64) for _ in range(rng.randint(1, 6))]
+        smallest = min(s.bit_count() for s in range(64) if all(s & m for m in family))
+        assert solver._disjoint_count(family) <= smallest
+    for _ in range(200):
+        bits = rng.sample(range(6), rng.randint(1, 6))
+        cuts = sorted(rng.sample(range(1, len(bits)), rng.randint(0, len(bits) - 1)))
+        family = [sum(1 << b for b in bits[a:b]) for a, b in zip([0, *cuts], [*cuts, len(bits)])]
+        rng.shuffle(family)
+        assert solver._disjoint_count(family) == len(family)
 
 
 def test_find_saddle_beyond_guard():
@@ -231,11 +258,11 @@ def test_side_rule_walks_in_order_and_keeps_a_prefix(monkeypatch):
         for level in (8, 4, 3, 4, 9, 5, 4, 8, 1, 9):
             expected = [sum(c) for c in itertools.combinations([1 << i for i in range(9)], level)]
             walked = list(rule.chunks(level))
-            assert [mask for masks, _ in walked for mask in masks] == expected
-            assert all(len(masks) == cap for masks, _ in walked[:-1])
+            assert [mask for masks, _, _ in walked for mask in masks] == expected
+            assert all(len(masks) == cap for masks, _, _ in walked[:-1])
             kept = rule.kept[level]
             assert all(a is b for a, b in zip(walked, kept)) and len(kept) <= len(walked)
-        held = sum(len(masks) for level in rule.kept for masks, _ in level)
+        held = sum(len(masks) for level in rule.kept for masks, _, _ in level)
         assert held == memo - rule.room <= memo
 
 
